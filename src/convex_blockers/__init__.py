@@ -25,7 +25,6 @@ from .blockers import (
 from .errors import InfeasibilityError, InputError, ResourceLimitError, StructureError
 from .geometry import (
     Edge,
-    EdgeSetMask,
     PolygonContext,
     are_parallel,
     edge_class,
@@ -60,7 +59,6 @@ __all__ = [
     "BoundaryCase",
     "CaterpillarReport",
     "Edge",
-    "EdgeSetMask",
     "InfeasibilityError",
     "InputError",
     "OracleResult",

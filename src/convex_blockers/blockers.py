@@ -206,14 +206,15 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
 
     Check order: one edge per odd parallel class, boundary count >= 2,
     boundary consecutiveness, crossing-freeness, leg attachment locations,
-    leg distance gaps.  Returns (violations, spine) where spine is
+    leg distance gaps.  Returns (violations, runs, spine): runs are the
+    maximal boundary runs from `_boundary_runs`, and spine is
     (start, t, legs) once the boundary edges form a single run of length
     >= 2; legs are (attach, far, edge) triples in start-relative labels.
     """
     violations: list[StructuralViolation] = []
-    edge_list = sorted(edges)
-    for e in edge_list:
+    for e in edges:
         ctx.check_edge(e)
+    edge_list = sorted(edges)
 
     by_class: dict[int, Edge] = {}
     for e in edge_list:
@@ -266,7 +267,7 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
                 violations.append(StructuralViolation(
                     VIOLATION_LEG_GAP, tuple(sorted((e1, e2)))))
         spine = (start, t, legs)
-    return violations, spine
+    return violations, runs, spine
 
 
 def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolation:
@@ -280,7 +281,7 @@ def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolati
     edges = frozenset(edges)
     if len(edges) != ctx.m:
         raise InputError(f"expected exactly {ctx.m} edges, got {len(edges)}")
-    violations, spine = _scan(ctx, edges)
+    violations, _runs, spine = _scan(ctx, edges)
     if violations:
         return violations[0]
     start, t, legs = spine
@@ -293,7 +294,9 @@ def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolati
     if sorted(offsets) != list(range(1, ctx.m - t + 1)):
         raise StructureError("leg classes do not fill the expected slots")
     spec = BlockerSpec(start, t, tuple(offsets[j] for j in sorted(offsets)))
-    assert generate_blocker(ctx, spec) == edges
+    if generate_blocker(ctx, spec) != edges:
+        raise StructureError(
+            f"parsed parameters {spec} do not regenerate the edge set")
     return spec
 
 
@@ -325,19 +328,14 @@ def validate_caterpillar(ctx: PolygonContext, edges) -> CaterpillarReport:
     describes the longest boundary run and its leg attachments.
     """
     edges = frozenset(edges)
-    for e in edges:
-        ctx.check_edge(e)
+    scan_violations, runs, _spine = _scan(ctx, edges)
     violations: list[StructuralViolation] = []
     tree = _is_tree(edges)
     if not tree:
         violations.append(
             StructuralViolation(VIOLATION_NOT_A_TREE, tuple(sorted(edges))))
-    scan_violations, _spine = _scan(ctx, edges)
     violations.extend(scan_violations)
 
-    boundary = [e for e in sorted(edges) if is_boundary_edge(ctx, e)]
-    positions = {boundary_position(ctx, e) for e in boundary}
-    runs = _boundary_runs(ctx, positions) if positions else []
     if runs:
         start, length = max(runs, key=lambda run: (run[1], -run[0]))
         path = tuple(ctx.boundary_edge(start + i) for i in range(length))

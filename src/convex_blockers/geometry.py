@@ -27,7 +27,6 @@ from .errors import InputError
 __all__ = [
     "Edge",
     "PolygonContext",
-    "EdgeSetMask",
     "edge_order",
     "edge_class",
     "is_boundary_edge",
@@ -211,56 +210,6 @@ def edges_cross(ctx: PolygonContext, e: Edge, f: Edge) -> bool:
     if e.shares_vertex(f):
         return False
     return (e.a < f.a < e.b) != (e.a < f.b < e.b)
-
-
-@dataclass(frozen=True)
-class EdgeSetMask:
-    """Dense bitmask over the edge-index space of one polygon context."""
-
-    ctx: PolygonContext
-    bits: int
-
-    @classmethod
-    def empty(cls, ctx: PolygonContext) -> "EdgeSetMask":
-        return cls(ctx, 0)
-
-    @classmethod
-    def from_edges(cls, ctx: PolygonContext, edges: Iterable[Edge]) -> "EdgeSetMask":
-        bits = 0
-        for e in edges:
-            bits |= 1 << ctx.edge_index(e)
-        return cls(ctx, bits)
-
-    def __contains__(self, e: Edge) -> bool:
-        return bool(self.bits >> self.ctx.edge_index(e) & 1)
-
-    def __or__(self, other: "EdgeSetMask") -> "EdgeSetMask":
-        self._check(other)
-        return EdgeSetMask(self.ctx, self.bits | other.bits)
-
-    def __and__(self, other: "EdgeSetMask") -> "EdgeSetMask":
-        self._check(other)
-        return EdgeSetMask(self.ctx, self.bits & other.bits)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def intersects(self, other: "EdgeSetMask") -> bool:
-        self._check(other)
-        return bool(self.bits & other.bits)
-
-    def edges(self) -> list[Edge]:
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(self.ctx.edge_at(low.bit_length() - 1))
-            bits ^= low
-        return out
-
-    def _check(self, other: "EdgeSetMask") -> None:
-        if self.ctx != other.ctx:
-            raise InputError("masks belong to different polygon contexts")
 
 
 def edge_to_text(e: Edge) -> str:

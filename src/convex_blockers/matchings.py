@@ -78,9 +78,10 @@ def enumerate_spms(ctx: PolygonContext, *, max_m: int = DEFAULT_MAX_M) -> list[M
     if ctx.m > max_m:
         raise ResourceLimitError(
             f"m={ctx.m} exceeds the enumeration cap {max_m}")
-    raw = _interval_matchings(tuple(range(ctx.n)))
-    raw.sort(key=lambda edges: tuple((e.a, e.b) for e in sorted(edges)))
-    return [frozenset(edges) for edges in raw]
+    # Already sorted: each tuple lists its edges by first vertex, the first
+    # edge (0, k) comes out with k ascending, and for a fixed first edge the
+    # inner and outer blocks have fixed lengths and are sorted recursively.
+    return [frozenset(edges) for edges in _interval_matchings(tuple(range(ctx.n)))]
 
 
 def catalan_number(n: int) -> int:

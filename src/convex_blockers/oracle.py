@@ -9,12 +9,13 @@ exactly one edge from each odd parallel class).
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InputError, ResourceLimitError
-from .geometry import Edge, EdgeSetMask, PolygonContext, edges_to_lists, parallel_class
+from .geometry import Edge, PolygonContext, edges_to_lists, parallel_class
 from .matchings import DEFAULT_MAX_M, enumerate_spms
 
 __all__ = [
@@ -40,11 +41,11 @@ DEFAULT_PRUNED_CAP = 8
 
 @dataclass(frozen=True)
 class SpmFamilyIndex:
-    """All simple perfect matchings of one polygon as edge bitmasks, plus
-    the reverse map from each edge index to the matchings containing it."""
+    """All simple perfect matchings of one polygon as edge-index bitmasks,
+    plus the reverse map from each edge index to the matchings containing it."""
 
     ctx: PolygonContext
-    spms: tuple[EdgeSetMask, ...]
+    spms: tuple[int, ...]
     per_edge_hits: tuple[int, ...]
 
     @property
@@ -59,26 +60,45 @@ class SpmFamilyIndex:
 
 def build_family_index(ctx: PolygonContext, *, max_m: int = DEFAULT_MAX_M
                        ) -> SpmFamilyIndex:
-    spms = enumerate_spms(ctx, max_m=max_m)
-    masks = tuple(EdgeSetMask.from_edges(ctx, s) for s in spms)
+    spms = []
     hits = [0] * ctx.edge_count
-    for position, s in enumerate(spms):
+    for position, s in enumerate(enumerate_spms(ctx, max_m=max_m)):
+        bits = 0
         for e in s:
-            hits[ctx.edge_index(e)] |= 1 << position
-    return SpmFamilyIndex(ctx, masks, tuple(hits))
+            i = ctx.edge_index(e)
+            bits |= 1 << i
+            hits[i] |= 1 << position
+        spms.append(bits)
+    return SpmFamilyIndex(ctx, tuple(spms), tuple(hits))
+
+
+def _positions(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _unhit(index: SpmFamilyIndex, edges) -> int:
+    """Bitmask of the matchings that contain none of the edges."""
+    covered = 0
+    for e in edges:
+        covered |= index.per_edge_hits[index.ctx.edge_index(e)]
+    return index.full_cover & ~covered
 
 
 def is_blocking_set(index: SpmFamilyIndex, edges) -> bool:
     """True when every matching in the family contains one of the edges."""
-    mask = EdgeSetMask.from_edges(index.ctx, edges)
-    return all(spm.intersects(mask) for spm in index.spms)
+    return not _unhit(index, edges)
 
 
 def missed_spms(index: SpmFamilyIndex, edges) -> list[frozenset[Edge]]:
-    """The matchings the edge set fails to hit (empty for blocking sets)."""
-    mask = EdgeSetMask.from_edges(index.ctx, edges)
-    return [frozenset(spm.edges()) for spm in index.spms
-            if not spm.intersects(mask)]
+    """The matchings the edge set fails to hit (empty for blocking sets),
+    in enumeration order."""
+    ctx = index.ctx
+    return [frozenset(ctx.edge_at(i) for i in _positions(index.spms[position]))
+            for position in _positions(_unhit(index, edges))]
 
 
 @dataclass(frozen=True)
@@ -121,16 +141,6 @@ def find_minimum_blockers(index: SpmFamilyIndex, mode: str = MODE_CLASS_PRUNED, 
     raise InputError(f"unknown oracle mode {mode!r}")
 
 
-def _colex_combinations(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Ascending index tuples in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for top in range(k - 1, n):
-        for rest in _colex_combinations(top, k - 1):
-            yield rest + (top,)
-
-
 def _canonical(sets: list[frozenset[Edge]]) -> tuple[frozenset[Edge], ...]:
     return tuple(sorted(sets, key=lambda s: tuple((e.a, e.b) for e in sorted(s))))
 
@@ -143,7 +153,7 @@ def _search_naive(index: SpmFamilyIndex) -> OracleResult:
     nodes = 0
     for size in range(1, ctx.m + 1):
         found = []
-        for combo in _colex_combinations(ctx.edge_count, size):
+        for combo in itertools.combinations(range(ctx.edge_count), size):
             nodes += 1
             covered = 0
             for i in combo:

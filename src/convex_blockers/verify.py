@@ -10,6 +10,7 @@ that each generated set really blocks every matching.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .blockers import enumerate_blockers, count_blockers, validate_caterpillar
@@ -33,6 +34,16 @@ MAX_WITNESSES = 10
 
 def _key(edges: frozenset[Edge]) -> tuple[tuple[int, int], ...]:
     return tuple((e.a, e.b) for e in sorted(edges))
+
+
+@contextmanager
+def _timed(durations: dict[str, float], label: str):
+    """Record the wall time of the block in milliseconds under `label`."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        durations[label] = (time.perf_counter() - t0) * 1000.0
 
 
 @dataclass
@@ -101,12 +112,17 @@ def verify_theorem(m_min: int, m_max: int, naive_up_to: int = 0, *,
                    pruned_cap: int = DEFAULT_PRUNED_CAP,
                    max_m: int = DEFAULT_MAX_M) -> list[VerificationReport]:
     """One report per m in m_min..m_max; the naive search also runs for
-    m <= naive_up_to."""
+    m <= naive_up_to.  Sizes beyond either search cap are refused before
+    any work starts."""
     if not 2 <= m_min <= m_max:
         raise InputError(f"need 2 <= m_min <= m_max, got {m_min}..{m_max}")
     if m_max > pruned_cap:
         raise ResourceLimitError(
             f"m_max={m_max} exceeds the pruned search cap {pruned_cap}")
+    first_over_naive_cap = max(m_min, naive_cap + 1)
+    if first_over_naive_cap <= min(m_max, naive_up_to):
+        raise ResourceLimitError(
+            f"naive search capped at m <= {naive_cap}, got m={first_over_naive_cap}")
     return [
         _verify_single(m, naive=m <= naive_up_to, naive_cap=naive_cap,
                        pruned_cap=pruned_cap, max_m=max_m)
@@ -119,20 +135,11 @@ def _verify_single(m: int, *, naive: bool, naive_cap: int, pruned_cap: int,
     ctx = PolygonContext(m)
     durations: dict[str, float] = {}
 
-    def timed(label):
-        class _Timer:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                durations[label] = (time.perf_counter() - self.t0) * 1000.0
-        return _Timer()
-
-    with timed("spm_enumeration"):
+    with _timed(durations, "spm_enumeration"):
         index = build_family_index(ctx, max_m=max_m)
-    with timed("blocker_generation"):
+    with _timed(durations, "blocker_generation"):
         generated = enumerate_blockers(ctx)
-    with timed("oracle_class_pruned"):
+    with _timed(durations, "oracle_class_pruned"):
         pruned = find_minimum_blockers(index, MODE_CLASS_PRUNED,
                                        pruned_cap=pruned_cap)
 
@@ -144,17 +151,17 @@ def _verify_single(m: int, *, naive: bool, naive_cap: int, pruned_cap: int,
     generated_only = [[list(p) for p in key]
                       for key in sorted(gen_keys - oracle_keys)[:MAX_WITNESSES]]
 
-    with timed("structural_checks"):
-        structural_pass = (
-            all(validate_caterpillar(ctx, s).ok for s in generated)
-            and all(validate_caterpillar(ctx, s).ok for s in pruned.minimum_sets))
-    with timed("blocking_checks"):
+    with _timed(durations, "structural_checks"):
+        oracle_extra = [s for s in pruned.minimum_sets if _key(s) not in gen_keys]
+        structural_pass = all(validate_caterpillar(ctx, s).ok
+                              for s in generated + oracle_extra)
+    with _timed(durations, "blocking_checks"):
         blocks_all = all(is_blocking_set(index, s) for s in generated)
 
     naive_agrees: bool | None = None
     lower_bound: bool | None = None
     if naive:
-        with timed("oracle_naive"):
+        with _timed(durations, "oracle_naive"):
             naive_result = find_minimum_blockers(index, MODE_NAIVE,
                                                  naive_cap=naive_cap)
         naive_agrees = {_key(s) for s in naive_result.minimum_sets} == oracle_keys

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import edges
+from convex_blockers import blockers
 from convex_blockers.blockers import (
     VIOLATION_BAD_ATTACHMENT,
     VIOLATION_CROSSING,
@@ -178,6 +179,22 @@ def test_parse_examples():
     failure = parse_blocker(PolygonContext(3), edges("0-1,2-3,4-5"))
     assert isinstance(failure, StructuralViolation)
     assert failure.name == VIOLATION_NOT_CONSECUTIVE
+
+
+def test_parse_refuses_a_spec_that_does_not_regenerate_the_set(monkeypatch):
+    ctx = PolygonContext(6)
+    monkeypatch.setattr(blockers, "generate_blocker",
+                        lambda ctx, spec: frozenset())
+    with pytest.raises(StructureError):
+        parse_blocker(ctx, FIGURE_BLOCKER)
+
+
+def test_parse_and_validate_reject_non_edge_members():
+    mixed = [(0, 1), Edge(1, 2), Edge(2, 3)]
+    with pytest.raises(InputError):
+        parse_blocker(PolygonContext(3), mixed)
+    with pytest.raises(InputError):
+        validate_caterpillar(PolygonContext(3), mixed)
 
 
 def test_parse_wrong_cardinality_is_an_input_error():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from convex_blockers.errors import InputError
 from convex_blockers.geometry import (
     Edge,
-    EdgeSetMask,
     PolygonContext,
     are_parallel,
     boundary_position,
@@ -210,7 +209,7 @@ def test_edges_cross_interleaving_property(data):
 
 
 # ---------------------------------------------------------------------------
-# edge index and bitmasks
+# edge index
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -238,30 +237,6 @@ def test_boundary_position_round_trip():
     assert boundary_position(PolygonContext(1), Edge(0, 1)) == 0
     with pytest.raises(InputError):
         boundary_position(PolygonContext(3), Edge(0, 2))
-
-
-@given(st.data())
-def test_mask_set_semantics(data):
-    m = data.draw(st.integers(2, 6))
-    ctx = PolygonContext(m)
-    universe = list(ctx.edges())
-    xs = data.draw(st.sets(st.sampled_from(universe)))
-    ys = data.draw(st.sets(st.sampled_from(universe)))
-    mx = EdgeSetMask.from_edges(ctx, xs)
-    my = EdgeSetMask.from_edges(ctx, ys)
-    assert len(mx) == len(xs)
-    assert set((mx | my).edges()) == xs | ys
-    assert set((mx & my).edges()) == xs & ys
-    assert mx.intersects(my) == bool(xs & ys)
-    for e in universe:
-        assert (e in mx) == (e in xs)
-
-
-def test_mask_rejects_context_mixing():
-    a = EdgeSetMask.from_edges(PolygonContext(2), [Edge(0, 1)])
-    b = EdgeSetMask.from_edges(PolygonContext(3), [Edge(0, 1)])
-    with pytest.raises(InputError):
-        _ = a | b
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def test_enumerate_contains_triangular_example():
     assert edges("0-5,1-4,2-3,6-9,7-8,10-11") in spms
 
 
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 10))
 def test_enumerate_is_sorted_valid_and_distinct(m):
     ctx = PolygonContext(m)
     spms = enumerate_spms(ctx)

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import edges
 from convex_blockers.blockers import enumerate_blockers, parse_blocker, BlockerSpec
 from convex_blockers.errors import InputError, ResourceLimitError
 from convex_blockers.geometry import Edge, PolygonContext
+from convex_blockers.matchings import enumerate_spms
 from convex_blockers.oracle import (
     MODE_CLASS_PRUNED,
     MODE_NAIVE,
-    _colex_combinations,
     build_family_index,
     find_minimum_blockers,
     is_blocking_set,
@@ -32,13 +34,19 @@ def test_index_cap():
         build_family_index(PolygonContext(4), max_m=3)
 
 
+def _mask(ctx, edge_set):
+    return sum(1 << ctx.edge_index(e) for e in edge_set)
+
+
 @pytest.mark.parametrize("m", range(1, 6))
 def test_index_hits_consistent_with_masks(m):
     ctx = PolygonContext(m)
     index = build_family_index(ctx)
+    spms = enumerate_spms(ctx)
+    assert list(index.spms) == [_mask(ctx, s) for s in spms]
     for e in ctx.edges():
         hits = index.per_edge_hits[ctx.edge_index(e)]
-        for position, spm in enumerate(index.spms):
+        for position, spm in enumerate(spms):
             assert bool(hits >> position & 1) == (e in spm)
 
 
@@ -53,7 +61,7 @@ def test_edge_hit_counts():
     hits = index3.per_edge_hits[ctx3.edge_index(Edge(1, 4))]
     assert hits.bit_count() == 1
     (position,) = [i for i in range(index3.spm_count) if hits >> i & 1]
-    assert frozenset(index3.spms[position].edges()) == edges("0-5,1-4,2-3")
+    assert index3.spms[position] == _mask(ctx3, edges("0-5,1-4,2-3"))
 
 
 # ---------------------------------------------------------------------------
@@ -79,14 +87,20 @@ def test_missed_spms_empty_for_blockers():
     assert missed_spms(index, edges("0-1,1-2,1-4")) == []
 
 
+@given(st.data())
+def test_blocking_checks_match_the_definition(data):
+    m = data.draw(st.integers(2, 6))
+    ctx = PolygonContext(m)
+    index = build_family_index(ctx)
+    chosen = data.draw(st.sets(st.sampled_from(list(ctx.edges()))))
+    spms = enumerate_spms(ctx)
+    assert is_blocking_set(index, chosen) == all(s & chosen for s in spms)
+    assert missed_spms(index, chosen) == [s for s in spms if not s & chosen]
+
+
 # ---------------------------------------------------------------------------
 # searches
 # ---------------------------------------------------------------------------
-
-def test_colex_order():
-    assert list(_colex_combinations(4, 2)) == [
-        (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
-
 
 def test_naive_m2():
     index = build_family_index(PolygonContext(2))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from convex_blockers import verify
 from convex_blockers.errors import InputError, ResourceLimitError
 from convex_blockers.verify import verify_special_blockers, verify_theorem
 
@@ -47,6 +48,23 @@ def test_verify_argument_errors():
         verify_theorem(4, 3, 0)
     with pytest.raises(ResourceLimitError):
         verify_theorem(2, 9, 0)
+
+
+def test_naive_cap_is_refused_before_any_work(monkeypatch):
+    def no_index(*args, **kwargs):
+        raise AssertionError("built an index before refusing the naive cap")
+
+    monkeypatch.setattr(verify, "build_family_index", no_index)
+    with pytest.raises(ResourceLimitError, match="naive search capped at m <= 5, got m=6"):
+        verify_theorem(2, 6, 6)
+    with pytest.raises(ResourceLimitError, match="got m=4"):
+        verify_theorem(4, 6, 5, naive_cap=3)
+
+
+def test_naive_up_to_beyond_m_max_is_not_refused():
+    (report,) = verify_theorem(2, 2, 6)
+    assert report.verdict == "PASS"
+    assert report.naive_agrees is True
 
 
 def test_report_json_is_deterministic_apart_from_timings():
