@@ -36,6 +36,7 @@ from .matchings import (
     TriangularSpec,
     catalan_number,
     enumerate_spms,
+    first_avoiding_spm,
     is_spm,
     parallel_spm,
     triangular_spm,
@@ -83,6 +84,7 @@ __all__ = [
     "enumerate_blockers",
     "enumerate_spms",
     "find_minimum_blockers",
+    "first_avoiding_spm",
     "generate_blocker",
     "is_blocking_set",
     "is_spm",

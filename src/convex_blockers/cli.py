@@ -3,7 +3,9 @@
 Structured output goes to stdout, diagnostics to stderr.  Malformed
 flags exit with status 2, domain errors with status 1; `verify` and
 `blocker check` map their verdict to the exit status.  The environment
-variable CONVEX_BLOCKERS_MAX_M overrides the enumeration cap.
+variable CONVEX_BLOCKERS_MAX_M overrides the enumeration cap of `spm
+enumerate`, `blocker enumerate`, `oracle` and `verify`; `blocker check`
+never enumerates matchings (its blocking check is O(m^3)) and has no cap.
 """
 
 from __future__ import annotations
@@ -26,14 +28,18 @@ from .blockers import (
 )
 from .errors import InfeasibilityError, InputError, ResourceLimitError, StructureError
 from .geometry import PolygonContext, edges_from_text, edges_to_lists, edges_to_text
-from .matchings import DEFAULT_MAX_M, enumerate_spms, parallel_spm, triangular_spm
+from .matchings import (
+    DEFAULT_MAX_M,
+    enumerate_spms,
+    first_avoiding_spm,
+    parallel_spm,
+    triangular_spm,
+)
 from .oracle import (
     MODE_CLASS_PRUNED,
     MODE_NAIVE,
     build_family_index,
     find_minimum_blockers,
-    is_blocking_set,
-    missed_spms,
     oracle_report_json,
 )
 from .render import RenderSpec, render_figure
@@ -113,16 +119,14 @@ def cmd_blocker_check(ns: argparse.Namespace) -> int:
     edges = edges_from_text(ns.edges)
     parsed = parse_blocker(ctx, edges)
     report = validate_caterpillar(ctx, edges)
-    index = build_family_index(ctx, max_m=_max_m())
-    blocking = is_blocking_set(index, edges)
+    miss = first_avoiding_spm(ctx, edges)
     if isinstance(parsed, BlockerSpec):
         payload = {"ok": True, **blocker_to_json(ctx, parsed)}
     else:
         payload = {"ok": False, **parsed.to_json()}
-        misses = missed_spms(index, edges)
-        payload["missed_spm"] = edges_to_lists(misses[0]) if misses else None
+        payload["missed_spm"] = None if miss is None else edges_to_lists(miss)
     payload["caterpillar"] = report.to_json()
-    payload["blocks_all_spms"] = blocking
+    payload["blocks_all_spms"] = miss is None
     _print_json(payload)
     return 0 if payload["ok"] else 1
 

@@ -22,6 +22,7 @@ __all__ = [
     "is_spm",
     "enumerate_spms",
     "catalan_number",
+    "first_avoiding_spm",
     "parallel_spm",
     "TriangularSpec",
     "triangular_spm",
@@ -64,8 +65,9 @@ def _interval_matchings(vs: tuple[int, ...]) -> list[tuple[Edge, ...]]:
     out = []
     for k in range(1, len(vs), 2):
         e = Edge(first, vs[k])
+        outers = _interval_matchings(vs[k + 1:])
         for inner in _interval_matchings(vs[1:k]):
-            for outer in _interval_matchings(vs[k + 1:]):
+            for outer in outers:
                 out.append((e,) + inner + outer)
     return out
 
@@ -82,6 +84,44 @@ def enumerate_spms(ctx: PolygonContext, *, max_m: int = DEFAULT_MAX_M) -> list[M
     # edge (0, k) comes out with k ascending, and for a fixed first edge the
     # inner and outer blocks have fixed lengths and are sorted recursively.
     return [frozenset(edges) for edges in _interval_matchings(tuple(range(ctx.n)))]
+
+
+def first_avoiding_spm(ctx: PolygonContext, edges) -> Matching | None:
+    """The first simple perfect matching in `enumerate_spms` order that
+    shares no edge with `edges`, or None when `edges` blocks every one.
+
+    Runs the interval-split recurrence of `_interval_matchings` as a
+    feasibility table instead of listing matchings: O(m^3) time and
+    O(m^2) memory, so no enumeration cap applies.
+    """
+    banned = {(e.a, e.b) for e in map(ctx.check_edge, edges)}
+    n = ctx.n
+    # ok[i][j]: the vertices i..j-1 have a perfect matching avoiding `edges`.
+    ok = [[i == j for j in range(n + 1)] for i in range(n + 1)]
+
+    def splits(i: int, j: int):
+        # Partners k of vertex i that leave both blocks [i+1, k) and
+        # [k+1, j) matchable, ascending as in the enumeration.
+        return (k for k in range(i + 1, j, 2)
+                if (i, k) not in banned and ok[i + 1][k] and ok[k + 1][j])
+
+    for length in range(2, n + 1, 2):
+        for i in range(n - length + 1):
+            ok[i][i + length] = any(splits(i, i + length))
+    if not ok[0][n]:
+        return None
+    # The smallest feasible partner of the lowest vertex, then the first
+    # matchings of the inner and outer blocks, is the first in enumeration
+    # order, because it lists by first edge, then inner, then outer block.
+    out = []
+    pending = [(0, n)]
+    while pending:
+        i, j = pending.pop()
+        if i < j:
+            k = next(splits(i, j))
+            out.append(Edge(i, k))
+            pending += [(k + 1, j), (i + 1, k)]
+    return frozenset(out)
 
 
 def catalan_number(n: int) -> int:

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import json
 
+from convex_blockers.blockers import BlockerSpec, generate_blocker
 from convex_blockers.cli import run_cli
+from convex_blockers.geometry import Edge, PolygonContext, edges_to_text
+from convex_blockers.matchings import is_spm
 
 
 def run(capsys, *args):
@@ -86,11 +89,41 @@ def test_blocker_check_rejects_matching_shaped_set(capsys):
     status, out, _ = run(capsys, "blocker", "check", "--m", "3",
                          "--edges", "0-1,2-3,4-5")
     assert status == 1
+    assert out == (
+        '{"ok":false,"violation":"boundary_not_consecutive",'
+        '"witness":[[0,1],[2,3],[4,5]],"missed_spm":[[0,5],[1,2],[3,4]],'
+        '"caterpillar":{"is_tree":false,"spine_length":1,"boundary_path":[[0,1]],'
+        '"violations":[{"violation":"not_a_tree","witness":[[0,1],[2,3],[4,5]]},'
+        '{"violation":"boundary_not_consecutive","witness":[[0,1],[2,3],[4,5]]}]},'
+        '"blocks_all_spms":false}\n')
+
+
+def test_blocker_check_out_of_range_vertex_is_domain_error(capsys):
+    status, out, err = run(capsys, "blocker", "check", "--m", "3",
+                           "--edges", "0-1,1-2,2-9")
+    assert status == 1
+    assert out == ""
+    assert "out of range" in err
+
+
+def test_blocker_check_beyond_the_enumeration_cap(capsys):
+    ctx = PolygonContext(14)
+    blocker = generate_blocker(ctx, BlockerSpec(3, 4, (1, 2, 4, 5, 7, 8, 9, 10, 11, 12)))
+    status, out, _ = run(capsys, "blocker", "check", "--m", "14",
+                         "--edges", edges_to_text(blocker))
+    assert status == 0
+    assert json.loads(out)["blocks_all_spms"] is True
+    # The swap empties odd parallel class 7, so its parallel matching escapes.
+    mutant = (blocker - {ctx.edge(3, 4)}) | {ctx.edge(0, 13)}
+    assert len(mutant) == 14
+    status, out, _ = run(capsys, "blocker", "check", "--m", "14",
+                         "--edges", edges_to_text(mutant))
+    assert status == 1
     payload = json.loads(out)
-    assert payload["ok"] is False
-    assert payload["violation"] == "boundary_not_consecutive"
     assert payload["blocks_all_spms"] is False
-    assert payload["missed_spm"] is not None
+    missed = frozenset(Edge(a, b) for a, b in payload["missed_spm"])
+    assert is_spm(ctx, missed)
+    assert not missed & mutant
 
 
 def test_blocker_check_wrong_cardinality_is_domain_error(capsys):
@@ -178,6 +211,20 @@ def test_env_cap_override(capsys, monkeypatch):
     status, out, _ = run(capsys, "spm", "enumerate", "--m", "4")
     assert status == 0
     assert len(out.splitlines()) == 14
+
+
+def test_env_cap_does_not_limit_blocker_check(capsys, monkeypatch):
+    monkeypatch.setenv("CONVEX_BLOCKERS_MAX_M", "3")
+    status, out, _ = run(capsys, "blocker", "check", "--m", "6",
+                         "--edges", "0-1,1-2,2-3,2-5,2-7,1-10")
+    assert status == 0
+    assert json.loads(out)["blocks_all_spms"] is True
+    status, _, err = run(capsys, "spm", "enumerate", "--m", "6")
+    assert status == 1
+    assert "cap" in err
+    status, _, err = run(capsys, "blocker", "enumerate", "--m", "6")
+    assert status == 1
+    assert "cap" in err
 
 
 def test_env_cap_must_be_integer(capsys, monkeypatch):

@@ -1,21 +1,28 @@
 from __future__ import annotations
 
+import functools
 import itertools
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import edges
+from convex_blockers.blockers import BlockerSpec, enumerate_blockers, generate_blocker
 from convex_blockers.errors import InfeasibilityError, InputError, ResourceLimitError
 from convex_blockers.geometry import Edge, PolygonContext, are_parallel, edge_order, is_boundary_edge
 from convex_blockers.matchings import (
     TriangularSpec,
     catalan_number,
     enumerate_spms,
+    first_avoiding_spm,
     is_spm,
     parallel_spm,
     triangular_spm,
     triangular_spm_from_blocks,
 )
+from convex_blockers.oracle import SpmFamilyIndex, build_family_index, missed_spms
 
 # Catalan numbers 0..8, frozen from the convolution recurrence below.
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -111,6 +118,60 @@ def test_enumeration_cap():
     with pytest.raises(ResourceLimitError):
         enumerate_spms(PolygonContext(5), max_m=4)
     assert len(enumerate_spms(PolygonContext(5), max_m=5)) == 42
+
+
+# ---------------------------------------------------------------------------
+# first_avoiding_spm, against the matching index as its slow twin
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _index(m: int) -> SpmFamilyIndex:
+    return build_family_index(PolygonContext(m))
+
+
+def _assert_first_avoiding_matches_index(m: int, chosen) -> None:
+    ctx = PolygonContext(m)
+    missed = missed_spms(_index(m), chosen)
+    found = first_avoiding_spm(ctx, chosen)
+    assert found == (missed[0] if missed else None)
+    if found is not None:
+        assert is_spm(ctx, found)
+        assert found.isdisjoint(chosen)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_first_avoiding_spm_on_blockers_and_one_edge_swaps(m):
+    ctx = PolygonContext(m)
+    rng = random.Random(m)
+    all_edges = list(ctx.edges())
+    for blocker in enumerate_blockers(ctx):
+        _assert_first_avoiding_matches_index(m, blocker)
+        dropped = rng.choice(sorted(blocker))
+        added = rng.choice([e for e in all_edges if e not in blocker])
+        _assert_first_avoiding_matches_index(m, (blocker - {dropped}) | {added})
+
+
+@given(st.data())
+def test_first_avoiding_spm_on_arbitrary_edge_sets(data):
+    m = data.draw(st.integers(2, 8))
+    chosen = data.draw(st.sets(st.sampled_from(list(PolygonContext(m).edges()))))
+    _assert_first_avoiding_matches_index(m, chosen)
+
+
+def test_first_avoiding_spm_beyond_the_enumeration_cap():
+    ctx = PolygonContext(40)
+    assert first_avoiding_spm(ctx, ()) == frozenset(
+        Edge(2 * i, 2 * i + 1) for i in range(40))
+    blocker = generate_blocker(ctx, BlockerSpec(0, 2, tuple(range(1, 39))))
+    assert first_avoiding_spm(ctx, blocker) is None
+
+
+def test_first_avoiding_spm_rejects_foreign_edges():
+    ctx = PolygonContext(3)
+    with pytest.raises(InputError):
+        first_avoiding_spm(ctx, edges("0-1,2-9"))
+    with pytest.raises(InputError):
+        first_avoiding_spm(ctx, [(0, 1)])
 
 
 # ---------------------------------------------------------------------------
