@@ -39,6 +39,7 @@ from .matchings import (
     first_avoiding_spm,
     is_spm,
     parallel_spm,
+    spm_pairs,
     triangular_spm,
     triangular_spm_from_blocks,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "parse_blocker",
     "render_figure",
     "restrict_blocker",
+    "spm_pairs",
     "triangular_spm",
     "triangular_spm_from_blocks",
     "validate_caterpillar",

@@ -2,10 +2,12 @@
 
 Structured output goes to stdout, diagnostics to stderr.  Malformed
 flags exit with status 2, domain errors with status 1; `verify` and
-`blocker check` map their verdict to the exit status.  The environment
-variable CONVEX_BLOCKERS_MAX_M overrides the enumeration cap of `spm
-enumerate`, `blocker enumerate`, `oracle` and `verify`; `blocker check`
-never enumerates matchings (its blocking check is O(m^3)) and has no cap.
+`blocker check` map their verdict to the exit status.  When the reader of
+stdout goes away (`| head`), `main` stops quietly with status 1.  The
+environment variable CONVEX_BLOCKERS_MAX_M overrides the enumeration cap
+of `spm enumerate`, `blocker enumerate`, `oracle` and `verify`; `blocker
+check` never enumerates matchings (its blocking check is O(m^3)) and has
+no cap.
 """
 
 from __future__ import annotations
@@ -27,12 +29,18 @@ from .blockers import (
     validate_caterpillar,
 )
 from .errors import InfeasibilityError, InputError, ResourceLimitError, StructureError
-from .geometry import PolygonContext, edges_from_text, edges_to_lists, edges_to_text
+from .geometry import (
+    PolygonContext,
+    edge_to_text,
+    edges_from_text,
+    edges_to_lists,
+    edges_to_text,
+)
 from .matchings import (
     DEFAULT_MAX_M,
-    enumerate_spms,
     first_avoiding_spm,
     parallel_spm,
+    spm_pairs,
     triangular_spm,
 )
 from .oracle import (
@@ -64,12 +72,13 @@ def _print_json(payload) -> None:
 
 def cmd_spm_enumerate(ns: argparse.Namespace) -> int:
     ctx = PolygonContext(ns.m)
-    spms = enumerate_spms(ctx, max_m=_max_m())
+    spms = spm_pairs(ctx, max_m=_max_m())
     if ns.format == "json":
-        _print_json([edges_to_lists(s) for s in spms])
+        _print_json(list(spms))
     else:
-        for s in spms:
-            print(edges_to_text(s))
+        # The pairs come sorted, so each line joins the texts of its edges.
+        text = {(e.a, e.b): edge_to_text(e) for e in ctx.edges()}.__getitem__
+        sys.stdout.writelines(",".join(map(text, s)) + "\n" for s in spms)
     return 0
 
 
@@ -253,4 +262,13 @@ def run_cli(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run_cli())
+    try:
+        status = run_cli()
+        # Flush here, so that a closed pipe raises inside the try block.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`| head`).  The interpreter flushes stdout
+        # again at exit; pointing it at devnull keeps that flush silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)

@@ -1,6 +1,8 @@
 """Non-crossing perfect matchings of the convex polygon.
 
-Besides exhaustive enumeration (Catalan many), two special families are
+The exhaustive enumeration (Catalan many) works on plain (a, b) int
+pairs: `spm_pairs` streams them, and `enumerate_spms` turns them into
+`Edge` sets at the API boundary.  Besides it, two special families are
 constructed directly:
 
 * parallel matchings: the full parallel class of a boundary edge;
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InfeasibilityError, InputError, ResourceLimitError
 from .geometry import Edge, PolygonContext, edges_cross, parallel_class
@@ -21,6 +24,7 @@ __all__ = [
     "DEFAULT_MAX_M",
     "is_spm",
     "enumerate_spms",
+    "spm_pairs",
     "catalan_number",
     "first_avoiding_spm",
     "parallel_spm",
@@ -55,21 +59,49 @@ def is_spm(ctx: PolygonContext, edges) -> bool:
                    for e, f in itertools.combinations(edge_list, 2))
 
 
-def _interval_matchings(vs: tuple[int, ...]) -> list[tuple[Edge, ...]]:
-    # Match the lowest vertex to every vertex at odd distance inside the
-    # interval; the split into two even sub-intervals is what makes every
-    # produced matching non-crossing, with no post-filtering.
-    if not vs:
-        return [()]
-    first = vs[0]
-    out = []
-    for k in range(1, len(vs), 2):
-        e = Edge(first, vs[k])
-        outers = _interval_matchings(vs[k + 1:])
-        for inner in _interval_matchings(vs[1:k]):
+def _pair_matchings(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    # Match the lowest vertex to every vertex k at odd distance; the split
+    # into two even sub-intervals is what makes every produced matching
+    # non-crossing, with no post-filtering.  The matchings of an interval
+    # depend only on its length up to a vertex shift, so each length below
+    # 2m is built once on 0..L-1 and only the top length is streamed.
+    n = 2 * m
+    # shift[s] moves a pair s vertices up; map() through it moves a block.
+    shift = [{(a, b): (a + s, b + s) for a in range(n) for b in range(a + 1, n, 2)
+              }.__getitem__ for s in range(n + 1)]
+    blocks = [[()]]  # blocks[h]: the matchings of the vertices 0..2h-1
+
+    def splits(h: int):
+        # Edge (0, k), the inner block [1, k) and the outer block [k+1, 2h).
+        for j in range(h):
+            k = 2 * j + 1
+            yield ((0, k), [tuple(map(shift[1], t)) for t in blocks[j]],
+                   [tuple(map(shift[k + 1], t)) for t in blocks[h - 1 - j]])
+
+    for h in range(1, m):
+        blocks.append([(e,) + inner + outer for e, inners, outers in splits(h)
+                       for inner in inners for outer in outers])
+    for e, inners, outers in splits(m):
+        for inner in inners:
             for outer in outers:
-                out.append((e,) + inner + outer)
-    return out
+                yield (e,) + inner + outer
+
+
+def spm_pairs(ctx: PolygonContext, *, max_m: int = DEFAULT_MAX_M
+              ) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Iterator over all simple perfect matchings as sorted tuples of
+    (a, b) vertex pairs with a < b, in lexicographic order.
+
+    The order is that of `enumerate_spms`: each tuple lists its edges by
+    first vertex, the first edge (0, k) comes out with k ascending, and for
+    a fixed first edge the inner and outer blocks have fixed lengths and
+    are sorted recursively.  Memory is set by the largest sub-interval, not
+    by the Catalan many matchings.  Refuses m beyond `max_m` on the call.
+    """
+    if ctx.m > max_m:
+        raise ResourceLimitError(
+            f"m={ctx.m} exceeds the enumeration cap {max_m}")
+    return _pair_matchings(ctx.m)
 
 
 def enumerate_spms(ctx: PolygonContext, *, max_m: int = DEFAULT_MAX_M) -> list[Matching]:
@@ -77,22 +109,18 @@ def enumerate_spms(ctx: PolygonContext, *, max_m: int = DEFAULT_MAX_M) -> list[M
 
     The count is the m-th Catalan number.  Refuses m beyond `max_m`.
     """
-    if ctx.m > max_m:
-        raise ResourceLimitError(
-            f"m={ctx.m} exceeds the enumeration cap {max_m}")
-    # Already sorted: each tuple lists its edges by first vertex, the first
-    # edge (0, k) comes out with k ascending, and for a fixed first edge the
-    # inner and outer blocks have fixed lengths and are sorted recursively.
-    return [frozenset(edges) for edges in _interval_matchings(tuple(range(ctx.n)))]
+    pairs = spm_pairs(ctx, max_m=max_m)
+    edge_of = {(e.a, e.b): e for e in ctx.edges()}.__getitem__
+    return [frozenset(map(edge_of, s)) for s in pairs]
 
 
 def first_avoiding_spm(ctx: PolygonContext, edges) -> Matching | None:
     """The first simple perfect matching in `enumerate_spms` order that
     shares no edge with `edges`, or None when `edges` blocks every one.
 
-    Runs the interval-split recurrence of `_interval_matchings` as a
-    feasibility table instead of listing matchings: O(m^3) time and
-    O(m^2) memory, so no enumeration cap applies.
+    Runs the interval-split recurrence of the enumeration as a feasibility
+    table instead of listing matchings: O(m^3) time and O(m^2) memory, so
+    no enumeration cap applies.
     """
     banned = {(e.a, e.b) for e in map(ctx.check_edge, edges)}
     n = ctx.n

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import convex_blockers
 from convex_blockers.blockers import BlockerSpec, generate_blocker
 from convex_blockers.cli import run_cli
-from convex_blockers.geometry import Edge, PolygonContext, edges_to_text
-from convex_blockers.matchings import is_spm
+from convex_blockers.geometry import Edge, PolygonContext, edges_to_lists, edges_to_text
+from convex_blockers.matchings import enumerate_spms, is_spm
 
 
 def run(capsys, *args):
@@ -40,6 +47,41 @@ def test_spm_enumerate_json(capsys):
     status, out, _ = run(capsys, "spm", "enumerate", "--m", "2", "--format", "json")
     assert status == 0
     assert json.loads(out) == [[[0, 1], [2, 3]], [[0, 3], [1, 2]]]
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_spm_enumerate_lines_match_edge_sets(capsys, m):
+    status, out, err = run(capsys, "spm", "enumerate", "--m", str(m))
+    assert (status, err) == (0, "")
+    spms = enumerate_spms(PolygonContext(m))
+    assert out == "".join(edges_to_text(s) + "\n" for s in spms)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_spm_enumerate_json_matches_edge_sets(capsys, m):
+    status, out, err = run(capsys, "spm", "enumerate", "--m", str(m), "--format", "json")
+    assert (status, err) == (0, "")
+    spms = enumerate_spms(PolygonContext(m))
+    assert out == json.dumps([edges_to_lists(s) for s in spms], separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("command", [("spm", "enumerate", "--m", "10"),
+                                     ("blocker", "enumerate", "--m", "10")])
+def test_closed_stdout_pipe_exits_quietly(command):
+    # Either output is several pipe buffers long, so the writer still has
+    # lines to write when the reader closes its end after the first line.
+    env = {k: v for k, v in os.environ.items() if k != "CONVEX_BLOCKERS_MAX_M"}
+    env["PYTHONPATH"] = str(Path(convex_blockers.__file__).resolve().parents[1])
+    with subprocess.Popen([sys.executable, "-m", "convex_blockers", *command],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_spm_parallel(capsys):
@@ -202,8 +244,9 @@ def test_infeasible_triangle_status(capsys):
 
 def test_env_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("CONVEX_BLOCKERS_MAX_M", "3")
-    status, _, err = run(capsys, "spm", "enumerate", "--m", "4")
+    status, out, err = run(capsys, "spm", "enumerate", "--m", "4")
     assert status == 1
+    assert out == ""
     assert "cap" in err
     status, _, err = run(capsys, "blocker", "enumerate", "--m", "4")
     assert status == 1

@@ -19,6 +19,7 @@ from convex_blockers.matchings import (
     first_avoiding_spm,
     is_spm,
     parallel_spm,
+    spm_pairs,
     triangular_spm,
     triangular_spm_from_blocks,
 )
@@ -82,7 +83,7 @@ def test_enumerate_smallest_cases_exactly():
     assert enumerate_spms(PolygonContext(2)) == [edges("0-1,2-3"), edges("0-3,1-2")]
 
 
-@pytest.mark.parametrize("m", range(2, 6))
+@pytest.mark.parametrize("m", range(2, 7))
 def test_enumerate_matches_bruteforce_pairings(m):
     assert set(enumerate_spms(PolygonContext(m))) == _spms_by_bruteforce(m)
 
@@ -115,6 +116,9 @@ def test_every_spm_edge_has_odd_order(m):
 def test_enumeration_cap():
     with pytest.raises(ResourceLimitError):
         enumerate_spms(PolygonContext(13))
+    # On the call itself, before any matching is asked for.
+    with pytest.raises(ResourceLimitError, match="m=13 exceeds the enumeration cap 12"):
+        spm_pairs(PolygonContext(13))
     with pytest.raises(ResourceLimitError):
         enumerate_spms(PolygonContext(5), max_m=4)
     assert len(enumerate_spms(PolygonContext(5), max_m=5)) == 42
