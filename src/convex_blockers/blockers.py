@@ -29,10 +29,8 @@ from .geometry import (
     Edge,
     PolygonContext,
     boundary_position,
-    edge_class,
     edge_to_text,
     edges_to_lists,
-    edges_cross,
     is_boundary_edge,
 )
 
@@ -204,21 +202,28 @@ def _boundary_runs(ctx: PolygonContext, positions: set[int]) -> list[tuple[int, 
 def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
     """All structural violations in the fixed check order, plus spine data.
 
+    Each edge is checked against the polygon once; every test after that is
+    integer arithmetic mod 2m on the endpoints a < b.  The parallel class is
+    (a + b) mod 2m; a boundary edge has b - a equal to 1 or 2m-1 and sits at
+    position a, or 2m-1 for the wrap edge; and on the sorted list e < f
+    cross exactly when e.a < f.a < e.b < f.b, which rules out shared vertices.
+
     Check order: one edge per odd parallel class, boundary count >= 2,
     boundary consecutiveness, crossing-freeness, leg attachment locations,
-    leg distance gaps.  Returns (violations, runs, spine): runs are the
-    maximal boundary runs from `_boundary_runs`, and spine is
-    (start, t, legs) once the boundary edges form a single run of length
-    >= 2; legs are (attach, far, edge) triples in start-relative labels.
+    leg distance gaps.  Returns (violations, edge_list, interior, runs,
+    spine): edge_list is the sorted edges and interior its non-boundary
+    edges, runs are the maximal boundary runs from `_boundary_runs`, and
+    spine is (start, t, legs) once the boundary edges form a single run of
+    length >= 2; legs are (attach, far, edge) triples in start-relative
+    labels.
     """
-    violations: list[StructuralViolation] = []
-    for e in edges:
-        ctx.check_edge(e)
-    edge_list = sorted(edges)
+    n = ctx.n
+    edge_list = sorted(map(ctx.check_edge, edges))
 
+    violations: list[StructuralViolation] = []
     by_class: dict[int, Edge] = {}
     for e in edge_list:
-        c = edge_class(ctx, e)
+        c = (e.a + e.b) % n
         if c % 2 == 0:
             violations.append(StructuralViolation(VIOLATION_EVEN_ORDER, (e,)))
         elif c in by_class:
@@ -227,31 +232,29 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
         else:
             by_class[c] = e
 
-    boundary = [e for e in edge_list if is_boundary_edge(ctx, e)]
+    boundary = [e for e in edge_list if e.b - e.a in (1, n - 1)]
+    interior = [e for e in edge_list if e.b - e.a not in (1, n - 1)]
     if len(boundary) < 2:
         violations.append(
             StructuralViolation(VIOLATION_FEW_BOUNDARY, tuple(boundary)))
 
-    positions = {boundary_position(ctx, e) for e in boundary}
-    runs = _boundary_runs(ctx, positions) if positions else []
-    consecutive = len(runs) == 1
-    if positions and not consecutive:
+    positions = {e.a if e.b - e.a == 1 else n - 1 for e in boundary}
+    runs = _boundary_runs(ctx, positions)
+    if len(runs) > 1:
         violations.append(
             StructuralViolation(VIOLATION_NOT_CONSECUTIVE, tuple(boundary)))
 
     for e, f in itertools.combinations(edge_list, 2):
-        if edges_cross(ctx, e, f):
+        if e.a < f.a < e.b < f.b:
             violations.append(StructuralViolation(VIOLATION_CROSSING, (e, f)))
 
     spine = None
-    if consecutive and len(boundary) >= 2:
+    if len(runs) == 1 and len(boundary) >= 2:
         start, t = runs[0]
         legs = []
-        for e in edge_list:
-            if is_boundary_edge(ctx, e):
-                continue
-            ra = (e.a - start) % ctx.n
-            rb = (e.b - start) % ctx.n
+        for e in interior:
+            ra = (e.a - start) % n
+            rb = (e.b - start) % n
             if 1 <= ra <= t - 1 and t + 1 <= rb:
                 legs.append((ra, rb, e))
             elif 1 <= rb <= t - 1 and t + 1 <= ra:
@@ -267,7 +270,7 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
                 violations.append(StructuralViolation(
                     VIOLATION_LEG_GAP, tuple(sorted((e1, e2)))))
         spine = (start, t, legs)
-    return violations, runs, spine
+    return violations, edge_list, interior, runs, spine
 
 
 def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolation:
@@ -281,7 +284,7 @@ def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolati
     edges = frozenset(edges)
     if len(edges) != ctx.m:
         raise InputError(f"expected exactly {ctx.m} edges, got {len(edges)}")
-    violations, _runs, spine = _scan(ctx, edges)
+    violations, *_, spine = _scan(ctx, edges)
     if violations:
         return violations[0]
     start, t, legs = spine
@@ -328,25 +331,20 @@ def validate_caterpillar(ctx: PolygonContext, edges) -> CaterpillarReport:
     describes the longest boundary run and its leg attachments.
     """
     edges = frozenset(edges)
-    scan_violations, runs, _spine = _scan(ctx, edges)
+    scan_violations, edge_list, interior, runs, _spine = _scan(ctx, edges)
     violations: list[StructuralViolation] = []
     tree = _is_tree(edges)
     if not tree:
         violations.append(
-            StructuralViolation(VIOLATION_NOT_A_TREE, tuple(sorted(edges))))
+            StructuralViolation(VIOLATION_NOT_A_TREE, tuple(edge_list)))
     violations.extend(scan_violations)
 
-    if runs:
-        start, length = max(runs, key=lambda run: (run[1], -run[0]))
-        path = tuple(ctx.boundary_edge(start + i) for i in range(length))
-    else:
-        start, length, path = 0, 0, ()
+    start, length = max(runs, key=lambda run: (run[1], -run[0]), default=(0, 0))
+    path = tuple(ctx.boundary_edge(start + i) for i in range(length))
     leg_map: dict[int, tuple[Edge, ...]] = {}
-    if length >= 1:
-        interior_edges = [e for e in sorted(edges) if not is_boundary_edge(ctx, e)]
-        for i in range(1, length):
-            v = (start + i) % ctx.n
-            leg_map[v] = tuple(e for e in interior_edges if e.touches(v))
+    for i in range(1, length):
+        v = (start + i) % ctx.n
+        leg_map[v] = tuple(e for e in interior if e.touches(v))
     return CaterpillarReport(tree, path, length, leg_map, violations)
 
 

@@ -115,11 +115,12 @@ def cmd_blocker_enumerate(ns: argparse.Namespace) -> int:
 
 
 def cmd_blocker_count(ns: argparse.Namespace) -> int:
+    total = count_blockers(ns.m)  # refuses m < 2 for both forms
     if ns.by_spine:
         for t in range(2, ns.m + 1):
             print(count_blockers_by_spine(ns.m, t))
     else:
-        print(count_blockers(ns.m))
+        print(total)
     return 0
 
 
@@ -178,7 +179,11 @@ def cmd_render(ns: argparse.Namespace) -> int:
     dotted = edges_from_text(ns.context_edges) if ns.context_edges else ()
     spec = RenderSpec(m=ns.m, solid=tuple(solid), thick=tuple(thick),
                       dotted=tuple(dotted), labels=ns.labels)
-    Path(ns.out).write_text(render_figure(spec), encoding="utf-8")
+    svg = render_figure(spec)
+    try:
+        Path(ns.out).write_text(svg, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {ns.out}: {exc.strerror}") from None
     return 0
 
 

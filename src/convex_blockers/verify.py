@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .blockers import enumerate_blockers, count_blockers, validate_caterpillar
 from .errors import InputError, ResourceLimitError
-from .geometry import Edge, PolygonContext, is_boundary_edge
+from .geometry import PolygonContext, edges_to_lists, is_boundary_edge
 from .matchings import DEFAULT_MAX_M, catalan_number
 from .oracle import (
     DEFAULT_NAIVE_CAP,
@@ -30,10 +30,6 @@ from .oracle import (
 __all__ = ["VerificationReport", "verify_theorem", "verify_special_blockers"]
 
 MAX_WITNESSES = 10
-
-
-def _key(edges: frozenset[Edge]) -> tuple[tuple[int, int], ...]:
-    return tuple((e.a, e.b) for e in sorted(edges))
 
 
 @contextmanager
@@ -143,18 +139,16 @@ def _verify_single(m: int, *, naive: bool, naive_cap: int, pruned_cap: int,
         pruned = find_minimum_blockers(index, MODE_CLASS_PRUNED,
                                        pruned_cap=pruned_cap)
 
-    gen_keys = {_key(s) for s in generated}
-    oracle_keys = {_key(s) for s in pruned.minimum_sets}
-    set_equality = gen_keys == oracle_keys
-    oracle_only = [[list(p) for p in key]
-                   for key in sorted(oracle_keys - gen_keys)[:MAX_WITNESSES]]
-    generated_only = [[list(p) for p in key]
-                      for key in sorted(gen_keys - oracle_keys)[:MAX_WITNESSES]]
+    generated_sets = set(generated)
+    oracle_sets = set(pruned.minimum_sets)
+    set_equality = generated_sets == oracle_sets
+    # Lists of [a, b] pairs sort like the sorted edge lists they come from.
+    oracle_only = sorted(map(edges_to_lists, oracle_sets - generated_sets))
+    generated_only = sorted(map(edges_to_lists, generated_sets - oracle_sets))
 
     with _timed(durations, "structural_checks"):
-        oracle_extra = [s for s in pruned.minimum_sets if _key(s) not in gen_keys]
         structural_pass = all(validate_caterpillar(ctx, s).ok
-                              for s in generated + oracle_extra)
+                              for s in generated_sets | oracle_sets)
     with _timed(durations, "blocking_checks"):
         blocks_all = all(is_blocking_set(index, s) for s in generated)
 
@@ -164,7 +158,7 @@ def _verify_single(m: int, *, naive: bool, naive_cap: int, pruned_cap: int,
         with _timed(durations, "oracle_naive"):
             naive_result = find_minimum_blockers(index, MODE_NAIVE,
                                                  naive_cap=naive_cap)
-        naive_agrees = {_key(s) for s in naive_result.minimum_sets} == oracle_keys
+        naive_agrees = set(naive_result.minimum_sets) == oracle_sets
         lower_bound = naive_result.minimum_size == m
 
     return VerificationReport(
@@ -180,8 +174,8 @@ def _verify_single(m: int, *, naive: bool, naive_cap: int, pruned_cap: int,
         naive_agrees=naive_agrees,
         lower_bound_pass=lower_bound,
         durations_ms=durations,
-        oracle_only=oracle_only,
-        generated_only=generated_only,
+        oracle_only=oracle_only[:MAX_WITNESSES],
+        generated_only=generated_only[:MAX_WITNESSES],
     )
 
 

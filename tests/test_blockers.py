@@ -313,6 +313,58 @@ def test_validate_report_json():
     assert payload["violations"] == []
 
 
+def test_scan_checks_each_edge_once(monkeypatch):
+    calls = []
+    check_edge = PolygonContext.check_edge
+
+    def counting(self, e):
+        calls.append(e)
+        return check_edge(self, e)
+
+    monkeypatch.setattr(PolygonContext, "check_edge", counting)
+    ctx11 = PolygonContext(11)
+    cases = [(ctx11, generate_blocker(ctx11, BlockerSpec(5, 4, (1, 2, 3, 5, 6, 8, 9)))),
+             (PolygonContext(2), edges("0-1,2-3"))]  # not a tree
+    cases += [(PolygonContext(m), edges(text)) for m, text, _name in MUTANTS]
+    for ctx, edge_set in cases:
+        for check in (parse_blocker, validate_caterpillar):
+            calls.clear()
+            check(ctx, edge_set)
+            assert sorted(calls) == sorted(edge_set), check.__name__
+
+
+@st.composite
+def _edge_sets(draw):
+    m = draw(st.integers(1, 9))
+    ctx = PolygonContext(m)
+    chosen = draw(st.sets(st.sampled_from(list(ctx.edges()))))
+    chosen |= draw(st.sets(st.sampled_from(ctx.boundary_edges())))
+    if draw(st.booleans()):
+        chosen.add(Edge(0, ctx.n - 1))  # the wrap edge
+    return ctx, frozenset(chosen)
+
+
+@given(_edge_sets())
+def test_scan_agrees_with_the_validated_predicates(case):
+    ctx, edge_set = case
+    report = validate_caterpillar(ctx, edge_set)
+    found = {}
+    for v in report.violations:
+        found.setdefault(v.name, []).append(v.witness)
+    ordered = sorted(edge_set)
+    assert found.get(VIOLATION_EVEN_ORDER, []) == [
+        (e,) for e in ordered if edge_class(ctx, e) % 2 == 0]
+    assert found.get(VIOLATION_CROSSING, []) == [
+        (e, f) for e, f in itertools.combinations(ordered, 2) if edges_cross(ctx, e, f)]
+    boundary_count = sum(1 for e in edge_set if is_boundary_edge(ctx, e))
+    assert (VIOLATION_FEW_BOUNDARY in found) == (boundary_count < 2)
+    path = report.boundary_path
+    assert set(path) <= edge_set
+    assert all(is_boundary_edge(ctx, e) for e in path)
+    positions = [boundary_position(ctx, e) for e in path]
+    assert all((p + 1) % ctx.n == q for p, q in zip(positions, positions[1:]))
+
+
 # ---------------------------------------------------------------------------
 # restriction
 # ---------------------------------------------------------------------------

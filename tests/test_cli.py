@@ -37,6 +37,13 @@ def test_blocker_count_by_spine(capsys):
     assert out.splitlines() == ["1", "4", "6", "4", "1"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--by-spine"]])
+@pytest.mark.parametrize("m", ["1", "-4"])
+def test_blocker_count_refuses_small_m(capsys, m, flags):
+    status, out, err = run(capsys, "blocker", "count", "--m", m, *flags)
+    assert (status, out, err) == (1, "", f"error: m must be >= 2, got {m}\n")
+
+
 def test_spm_enumerate_lines(capsys):
     status, out, _ = run(capsys, "spm", "enumerate", "--m", "2")
     assert status == 0
@@ -320,3 +327,12 @@ def test_render_bad_blocker_spec(tmp_path, capsys):
                          "--out", str(tmp_path / "x.svg"))
     assert status == 1
     assert "error:" in err
+
+
+def test_render_to_a_missing_directory_is_domain_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.svg"
+    status, out, err = run(capsys, "render", "--m", "6",
+                           "--blocker-spec", "0,3,1,2,4", "--out", str(target))
+    assert (status, out) == (1, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()

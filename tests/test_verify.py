@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from convex_blockers import verify
+from convex_blockers.blockers import enumerate_blockers
 from convex_blockers.errors import InputError, ResourceLimitError
-from convex_blockers.verify import verify_special_blockers, verify_theorem
+from convex_blockers.geometry import PolygonContext
+from convex_blockers.verify import MAX_WITNESSES, verify_special_blockers, verify_theorem
 
 
 def test_verify_small_range_with_naive():
@@ -65,6 +69,29 @@ def test_naive_up_to_beyond_m_max_is_not_refused():
     (report,) = verify_theorem(2, 2, 6)
     assert report.verdict == "PASS"
     assert report.naive_agrees is True
+
+
+def test_witnesses_are_the_first_mismatches_in_edge_order(monkeypatch):
+    ctx = PolygonContext(4)
+    blockers = enumerate_blockers(ctx)
+    dropped = blockers[::2][:12]
+    rng = random.Random(5)
+    extra = set()
+    while len(extra) < 12:
+        candidate = frozenset(rng.sample(list(ctx.edges()), 4))
+        if candidate not in blockers:
+            extra.add(candidate)
+    fake = [s for s in blockers if s not in dropped] + sorted(extra, key=sorted)
+    monkeypatch.setattr(verify, "enumerate_blockers", lambda ctx: fake)
+    (report,) = verify_theorem(4, 4, 0)
+
+    def first(sets):
+        keys = sorted(tuple((e.a, e.b) for e in sorted(s)) for s in sets)
+        return [[list(p) for p in key] for key in keys[:MAX_WITNESSES]]
+
+    assert report.verdict == "FAIL" and not report.set_equality
+    assert report.oracle_only == first(dropped)
+    assert report.generated_only == first(extra)
 
 
 def test_report_json_is_deterministic_apart_from_timings():
