@@ -3,11 +3,14 @@
 Structured output goes to stdout, diagnostics to stderr.  Malformed
 flags exit with status 2, domain errors with status 1; `verify` and
 `blocker check` map their verdict to the exit status.  When the reader of
-stdout goes away (`| head`), `main` stops quietly with status 1.  The
-environment variable CONVEX_BLOCKERS_MAX_M overrides the enumeration cap
-of `spm enumerate`, `blocker enumerate`, `oracle` and `verify`; `blocker
-check` never enumerates matchings (its blocking check is O(m^3)) and has
-no cap.
+stdout goes away (`| head`), `main` stops quietly with status 1.
+
+Size caps refuse with `m=M exceeds the WHAT cap CAP` before any work:
+enumeration (12, or CONVEX_BLOCKERS_MAX_M) for `spm enumerate`, `blocker
+enumerate`, `oracle` and `verify`; naive search (5) and pruned search (8)
+for `oracle`, which checks it before building the index, and `verify`,
+which checks every m of its range up front.  `blocker check` never
+enumerates matchings (its blocking check is O(m^3)) and has no cap.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ from .blockers import (
     parse_blocker,
     validate_caterpillar,
 )
-from .errors import InfeasibilityError, InputError, ResourceLimitError, StructureError
+from .errors import (
+    InfeasibilityError,
+    InputError,
+    ResourceLimitError,
+    StructureError,
+    check_cap,
+)
 from .geometry import (
     PolygonContext,
     edge_to_text,
@@ -47,6 +56,7 @@ from .oracle import (
     MODE_CLASS_PRUNED,
     MODE_NAIVE,
     build_family_index,
+    check_search_cap,
     find_minimum_blockers,
     oracle_report_json,
 )
@@ -57,9 +67,7 @@ ENV_MAX_M = "CONVEX_BLOCKERS_MAX_M"
 
 
 def _max_m() -> int:
-    raw = os.environ.get(ENV_MAX_M)
-    if raw is None:
-        return DEFAULT_MAX_M
+    raw = os.environ.get(ENV_MAX_M, str(DEFAULT_MAX_M))
     try:
         return int(raw)
     except ValueError:
@@ -102,9 +110,7 @@ def cmd_spm_triangular(ns: argparse.Namespace) -> int:
 
 def cmd_blocker_enumerate(ns: argparse.Namespace) -> int:
     ctx = PolygonContext(ns.m)
-    if ns.m > _max_m():
-        raise ResourceLimitError(
-            f"m={ns.m} exceeds the enumeration cap {_max_m()}")
+    check_cap(ns.m, _max_m(), "enumeration")
     specs = enumerate_blocker_specs(ctx)
     if ns.format == "json":
         _print_json([blocker_to_json(ctx, spec) for spec in specs])
@@ -144,6 +150,7 @@ def cmd_blocker_check(ns: argparse.Namespace) -> int:
 def cmd_oracle(ns: argparse.Namespace) -> int:
     ctx = PolygonContext(ns.m)
     mode = MODE_NAIVE if ns.mode == "naive" else MODE_CLASS_PRUNED
+    check_search_cap(ns.m, mode)
     index = build_family_index(ctx, max_m=_max_m())
     result = find_minimum_blockers(index, mode)
     _print_json(oracle_report_json(index, result))

@@ -9,6 +9,12 @@ class ResourceLimitError(RuntimeError):
     """A computation would exceed a configured size cap."""
 
 
+def check_cap(m: int, cap: int, what: str) -> None:
+    """Refuse m beyond `cap`, before any work, in the one cap message."""
+    if m > cap:
+        raise ResourceLimitError(f"m={m} exceeds the {what} cap {cap}")
+
+
 class InfeasibilityError(ValueError):
     """The requested combinatorial object does not exist."""
 

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InfeasibilityError, InputError, ResourceLimitError
+from .errors import InfeasibilityError, InputError, check_cap
 from .geometry import Edge, PolygonContext, edges_cross, parallel_class
 
 __all__ = [
@@ -98,9 +98,7 @@ def spm_pairs(ctx: PolygonContext, *, max_m: int = DEFAULT_MAX_M
     are sorted recursively.  Memory is set by the largest sub-interval, not
     by the Catalan many matchings.  Refuses m beyond `max_m` on the call.
     """
-    if ctx.m > max_m:
-        raise ResourceLimitError(
-            f"m={ctx.m} exceeds the enumeration cap {max_m}")
+    check_cap(ctx.m, max_m, "enumeration")
     return _pair_matchings(ctx.m)
 
 

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, check_cap
 from .geometry import Edge, PolygonContext, edges_to_lists, parallel_class
 from .matchings import DEFAULT_MAX_M, enumerate_spms
 
@@ -28,6 +28,7 @@ __all__ = [
     "build_family_index",
     "is_blocking_set",
     "missed_spms",
+    "check_search_cap",
     "find_minimum_blockers",
     "oracle_report_json",
 ]
@@ -115,10 +116,21 @@ class OracleResult:
     millis: float
 
 
+def check_search_cap(m: int, mode: str, *, naive_cap: int = DEFAULT_NAIVE_CAP,
+                     pruned_cap: int = DEFAULT_PRUNED_CAP) -> None:
+    """Refuse an unknown mode, or m beyond its search cap, before any work."""
+    if mode == MODE_NAIVE:
+        check_cap(m, naive_cap, "naive search")
+    elif mode == MODE_CLASS_PRUNED:
+        check_cap(m, pruned_cap, "pruned search")
+    else:
+        raise InputError(f"unknown oracle mode {mode!r}")
+
+
 def find_minimum_blockers(index: SpmFamilyIndex, mode: str = MODE_CLASS_PRUNED, *,
                           naive_cap: int = DEFAULT_NAIVE_CAP,
                           pruned_cap: int = DEFAULT_PRUNED_CAP) -> OracleResult:
-    """Search for all minimum blocking sets.
+    """Search for all minimum blocking sets, sorted by their edge lists.
 
     naive        -- exhaustively test every edge subset of size 1, 2, ...
                     until some size admits a blocking set, then collect all
@@ -131,28 +143,21 @@ def find_minimum_blockers(index: SpmFamilyIndex, mode: str = MODE_CLASS_PRUNED, 
                     exactly one edge of each odd class; the minimum size is
                     m by the same disjointness.
     """
-    if mode == MODE_NAIVE:
-        if index.ctx.m > naive_cap:
-            raise ResourceLimitError(
-                f"naive search capped at m <= {naive_cap}, got m={index.ctx.m}")
-        return _search_naive(index)
-    if mode == MODE_CLASS_PRUNED:
-        if index.ctx.m > pruned_cap:
-            raise ResourceLimitError(
-                f"pruned search capped at m <= {pruned_cap}, got m={index.ctx.m}")
-        return _search_class_pruned(index)
-    raise InputError(f"unknown oracle mode {mode!r}")
+    check_search_cap(index.ctx.m, mode, naive_cap=naive_cap, pruned_cap=pruned_cap)
+    search = _search_naive if mode == MODE_NAIVE else _search_class_pruned
+    started = time.perf_counter()
+    size, sets, nodes = search(index)
+    millis = (time.perf_counter() - started) * 1000.0
+    if not sets:
+        raise RuntimeError("unreachable: m consecutive boundary edges always block")
+    return OracleResult(mode, size, tuple(sorted(sets, key=edges_to_lists)),
+                        nodes, millis)
 
 
-def _canonical(sets: list[frozenset[Edge]]) -> tuple[frozenset[Edge], ...]:
-    return tuple(sorted(sets, key=lambda s: tuple((e.a, e.b) for e in sorted(s))))
-
-
-def _search_naive(index: SpmFamilyIndex) -> OracleResult:
+def _search_naive(index: SpmFamilyIndex) -> tuple[int, list[frozenset[Edge]], int]:
     ctx = index.ctx
     hits = index.per_edge_hits
     full = index.full_cover
-    started = time.perf_counter()
     nodes = 0
     for size in range(1, ctx.m + 1):
         found = []
@@ -164,26 +169,22 @@ def _search_naive(index: SpmFamilyIndex) -> OracleResult:
             if covered == full:
                 found.append(frozenset(ctx.edge_at(i) for i in combo))
         if found:
-            millis = (time.perf_counter() - started) * 1000.0
-            return OracleResult(MODE_NAIVE, size, _canonical(found), nodes, millis)
-    raise RuntimeError("unreachable: m consecutive boundary edges always block")
+            break
+    return size, found, nodes
 
 
-def _search_class_pruned(index: SpmFamilyIndex) -> OracleResult:
+def _search_class_pruned(index: SpmFamilyIndex
+                         ) -> tuple[int, list[frozenset[Edge]], int]:
     ctx = index.ctx
-    started = time.perf_counter()
-    class_edges = []
-    for class_id in range(1, ctx.n, 2):
-        members = parallel_class(ctx, class_id)
-        class_edges.append(
-            [(e, index.per_edge_hits[ctx.edge_index(e)]) for e in members])
+    hits = index.per_edge_hits
+    class_edges = [[(e, hits[ctx.edge_index(e)]) for e in parallel_class(ctx, c)]
+                   for c in range(1, ctx.n, 2)]
     # suffix[i]: every matching reachable from classes i.. onwards
     suffix = [0] * (len(class_edges) + 1)
     for i in range(len(class_edges) - 1, -1, -1):
-        cover = 0
+        suffix[i] = suffix[i + 1]
         for _e, h in class_edges[i]:
-            cover |= h
-        suffix[i] = suffix[i + 1] | cover
+            suffix[i] |= h
     found: list[frozenset[Edge]] = []
     chosen: list[Edge] = []
     nodes = 0
@@ -202,10 +203,7 @@ def _search_class_pruned(index: SpmFamilyIndex) -> OracleResult:
             chosen.pop()
 
     walk(0, index.full_cover)
-    if not found:
-        raise RuntimeError("unreachable: m consecutive boundary edges always block")
-    millis = (time.perf_counter() - started) * 1000.0
-    return OracleResult(MODE_CLASS_PRUNED, ctx.m, _canonical(found), nodes, millis)
+    return ctx.m, found, nodes
 
 
 def oracle_report_json(index: SpmFamilyIndex, result: OracleResult) -> dict:

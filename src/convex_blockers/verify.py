@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .blockers import enumerate_blockers, count_blockers, validate_caterpillar
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, check_cap
 from .geometry import PolygonContext, edges_to_lists, is_boundary_edge
 from .matchings import DEFAULT_MAX_M, catalan_number
 from .oracle import (
@@ -23,6 +23,7 @@ from .oracle import (
     MODE_CLASS_PRUNED,
     MODE_NAIVE,
     build_family_index,
+    check_search_cap,
     find_minimum_blockers,
     is_blocking_set,
 )
@@ -108,17 +109,14 @@ def verify_theorem(m_min: int, m_max: int, naive_up_to: int = 0, *,
                    pruned_cap: int = DEFAULT_PRUNED_CAP,
                    max_m: int = DEFAULT_MAX_M) -> list[VerificationReport]:
     """One report per m in m_min..m_max; the naive search also runs for
-    m <= naive_up_to.  Sizes beyond either search cap are refused before
-    any work starts."""
+    m <= naive_up_to.  An m beyond any cap is refused before any work."""
     if not 2 <= m_min <= m_max:
         raise InputError(f"need 2 <= m_min <= m_max, got {m_min}..{m_max}")
-    if m_max > pruned_cap:
-        raise ResourceLimitError(
-            f"m_max={m_max} exceeds the pruned search cap {pruned_cap}")
-    first_over_naive_cap = max(m_min, naive_cap + 1)
-    if first_over_naive_cap <= min(m_max, naive_up_to):
-        raise ResourceLimitError(
-            f"naive search capped at m <= {naive_cap}, got m={first_over_naive_cap}")
+    for m in range(m_min, m_max + 1):
+        check_cap(m, max_m, "enumeration")
+        check_search_cap(m, MODE_CLASS_PRUNED, pruned_cap=pruned_cap)
+        if m <= naive_up_to:
+            check_search_cap(m, MODE_NAIVE, naive_cap=naive_cap)
     return [
         _verify_single(m, naive=m <= naive_up_to, naive_cap=naive_cap,
                        pruned_cap=pruned_cap, max_m=max_m)
@@ -136,8 +134,7 @@ def _verify_single(m: int, *, naive: bool, naive_cap: int, pruned_cap: int,
     with _timed(durations, "blocker_generation"):
         generated = enumerate_blockers(ctx)
     with _timed(durations, "oracle_class_pruned"):
-        pruned = find_minimum_blockers(index, MODE_CLASS_PRUNED,
-                                       pruned_cap=pruned_cap)
+        pruned = find_minimum_blockers(index, MODE_CLASS_PRUNED, pruned_cap=pruned_cap)
 
     generated_sets = set(generated)
     oracle_sets = set(pruned.minimum_sets)
@@ -156,8 +153,7 @@ def _verify_single(m: int, *, naive: bool, naive_cap: int, pruned_cap: int,
     lower_bound: bool | None = None
     if naive:
         with _timed(durations, "oracle_naive"):
-            naive_result = find_minimum_blockers(index, MODE_NAIVE,
-                                                 naive_cap=naive_cap)
+            naive_result = find_minimum_blockers(index, MODE_NAIVE, naive_cap=naive_cap)
         naive_agrees = set(naive_result.minimum_sets) == oracle_sets
         lower_bound = naive_result.minimum_size == m
 
@@ -179,23 +175,18 @@ def _verify_single(m: int, *, naive: bool, naive_cap: int, pruned_cap: int,
     )
 
 
-def verify_special_blockers(m: int, *, max_m: int = DEFAULT_MAX_M,
-                            pruned_cap: int = DEFAULT_PRUNED_CAP) -> bool:
+def verify_special_blockers(m: int) -> bool:
     """Half-boundaries and odd stars at every rotation block everything,
     and every search-found minimum blocker keeps >= 2 boundary edges."""
     if m < 2:
         raise InputError("special-blocker checks require m >= 2")
+    check_search_cap(m, MODE_CLASS_PRUNED)
     ctx = PolygonContext(m)
-    index = build_family_index(ctx, max_m=max_m)
-    for s in range(ctx.n):
-        half_boundary = {ctx.boundary_edge(s + i) for i in range(m)}
-        if not is_blocking_set(index, half_boundary):
-            return False
-    for v in range(ctx.n):
-        odd_star = {ctx.edge(v, v + k) for k in range(1, ctx.n, 2)}
-        if not is_blocking_set(index, odd_star):
-            return False
-    result = find_minimum_blockers(index, MODE_CLASS_PRUNED, pruned_cap=pruned_cap)
-    return all(
-        sum(1 for e in s if is_boundary_edge(ctx, e)) >= 2
-        for s in result.minimum_sets)
+    index = build_family_index(ctx)
+    halves = [{ctx.boundary_edge(s + i) for i in range(m)} for s in range(ctx.n)]
+    odd_stars = [{ctx.edge(v, v + k) for k in range(1, ctx.n, 2)} for v in range(ctx.n)]
+    if not all(is_blocking_set(index, s) for s in halves + odd_stars):
+        return False
+    result = find_minimum_blockers(index, MODE_CLASS_PRUNED)
+    return all(sum(1 for e in s if is_boundary_edge(ctx, e)) >= 2
+               for s in result.minimum_sets)

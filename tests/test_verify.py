@@ -59,9 +59,9 @@ def test_naive_cap_is_refused_before_any_work(monkeypatch):
         raise AssertionError("built an index before refusing the naive cap")
 
     monkeypatch.setattr(verify, "build_family_index", no_index)
-    with pytest.raises(ResourceLimitError, match="naive search capped at m <= 5, got m=6"):
+    with pytest.raises(ResourceLimitError, match="m=6 exceeds the naive search cap 5"):
         verify_theorem(2, 6, 6)
-    with pytest.raises(ResourceLimitError, match="got m=4"):
+    with pytest.raises(ResourceLimitError, match="m=4 exceeds the naive search cap 3"):
         verify_theorem(4, 6, 5, naive_cap=3)
 
 
