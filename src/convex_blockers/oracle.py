@@ -5,11 +5,16 @@ compared: the naive mode uses nothing but the blocking-set definition,
 and the pruned mode additionally uses only the fact that the m parallel
 matchings are pairwise disjoint (so an m-edge blocking set must take
 exactly one edge from each odd parallel class).
+
+Both searches run on complement masks built once before the walk: per edge,
+the matchings that avoid it, and in the pruned mode, per depth, the
+matchings that no remaining class can hit.  Adding an edge to a partial
+set is then one AND on the mask of the matchings still unhit, and the
+pruning bound is one more.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -142,6 +147,10 @@ def find_minimum_blockers(index: SpmFamilyIndex, mode: str = MODE_CLASS_PRUNED, 
                     pairwise disjoint, so any m-edge blocking set contains
                     exactly one edge of each odd class; the minimum size is
                     m by the same disjointness.
+
+    `nodes` counts the search effort.  For naive it is every subset tested,
+    summed over the sizes 1..minimum; for class_pruned it is every DFS call,
+    the pruned ones included.
     """
     check_search_cap(index.ctx.m, mode, naive_cap=naive_cap, pruned_cap=pruned_cap)
     search = _search_naive if mode == MODE_NAIVE else _search_class_pruned
@@ -156,18 +165,29 @@ def find_minimum_blockers(index: SpmFamilyIndex, mode: str = MODE_CLASS_PRUNED, 
 
 def _search_naive(index: SpmFamilyIndex) -> tuple[int, list[frozenset[Edge]], int]:
     ctx = index.ctx
-    hits = index.per_edge_hits
     full = index.full_cover
+    comp = [full & ~h for h in index.per_edge_hits]
+    n = len(comp)
+    found: list[frozenset[Edge]] = []
+    prefix = []
     nodes = 0
+
+    def walk(start: int, need: int, depth: int) -> None:
+        # need: the matchings the prefix leaves unhit; depth: edges still
+        # to choose, ascending from start
+        nonlocal nodes
+        if depth == 1:
+            nodes += n - start
+            for j in [j for j in range(start, n) if not need & comp[j]]:
+                found.append(frozenset(map(ctx.edge_at, prefix + [j])))
+            return
+        for i in range(start, n - depth + 1):
+            prefix.append(i)
+            walk(i + 1, need & comp[i], depth - 1)
+            prefix.pop()
+
     for size in range(1, ctx.m + 1):
-        found = []
-        for combo in itertools.combinations(range(ctx.edge_count), size):
-            nodes += 1
-            covered = 0
-            for i in combo:
-                covered |= hits[i]
-            if covered == full:
-                found.append(frozenset(ctx.edge_at(i) for i in combo))
+        walk(0, full, size)
         if found:
             break
     return size, found, nodes
@@ -176,15 +196,16 @@ def _search_naive(index: SpmFamilyIndex) -> tuple[int, list[frozenset[Edge]], in
 def _search_class_pruned(index: SpmFamilyIndex
                          ) -> tuple[int, list[frozenset[Edge]], int]:
     ctx = index.ctx
-    hits = index.per_edge_hits
-    class_edges = [[(e, hits[ctx.edge_index(e)]) for e in parallel_class(ctx, c)]
+    full = index.full_cover
+    comp = [full & ~h for h in index.per_edge_hits]
+    class_edges = [[(e, comp[ctx.edge_index(e)]) for e in parallel_class(ctx, c)]
                    for c in range(1, ctx.n, 2)]
-    # suffix[i]: every matching reachable from classes i.. onwards
-    suffix = [0] * (len(class_edges) + 1)
+    # unreach[i]: the matchings no edge of classes i.. onwards hits
+    unreach = [full] * (len(class_edges) + 1)
     for i in range(len(class_edges) - 1, -1, -1):
-        suffix[i] = suffix[i + 1]
-        for _e, h in class_edges[i]:
-            suffix[i] |= h
+        unreach[i] = unreach[i + 1]
+        for _e, c in class_edges[i]:
+            unreach[i] &= c
     found: list[frozenset[Edge]] = []
     chosen: list[Edge] = []
     nodes = 0
@@ -192,17 +213,17 @@ def _search_class_pruned(index: SpmFamilyIndex
     def walk(i: int, unhit: int) -> None:
         nonlocal nodes
         nodes += 1
-        if unhit & ~suffix[i]:
+        if unhit & unreach[i]:
             return
         if i == len(class_edges):
             found.append(frozenset(chosen))
             return
-        for e, h in class_edges[i]:
+        for e, c in class_edges[i]:
             chosen.append(e)
-            walk(i + 1, unhit & ~h)
+            walk(i + 1, unhit & c)
             chosen.pop()
 
-    walk(0, index.full_cover)
+    walk(0, full)
     return ctx.m, found, nodes
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -203,6 +205,35 @@ def test_oracle_pruned(capsys):
     assert payload["mode"] == "class_pruned"
     assert payload["minimum_size"] == 4
     assert payload["count"] == 32
+
+
+# SHA-256 of the `oracle` stdout with its "millis" field cut out, recorded
+# before the searches moved to complement masks.  The sets, their
+# order and the node counts of both modes stay byte-identical.
+ORACLE_DIGESTS = [
+    ("naive", 1, "5c8b143d830553882eca133b2359df6b2245f06135565675e0728da272f51f1b"),
+    ("naive", 2, "a4aca0ce75bf547ac981247645ffe0ce7b9a883936a95618bcf1ef075d9f80d7"),
+    ("naive", 3, "08eabf363f2121b1df4a503b07a8fea26ff0b2d1d83874aa903b0e39acf3cd00"),
+    ("naive", 4, "4e4674bc6980e1b2652eab46572ff6656a9b4c0c26c59f6e48b9c7be57c312b0"),
+    ("naive", 5, "b452df6bd2e6509321c3c96b95afcedadb7e6e8f0913a8f5deb64202998025e2"),
+    ("pruned", 1, "7a9c470a13f9ea8209f7ac572d8a17776bac5ec325f84929f28657847aea4e5f"),
+    ("pruned", 2, "96364d2e1919d4eadc48ee623805beed4976fc673cca7f7a5dcbe740f98ece79"),
+    ("pruned", 3, "1c3bd16aa6c38aed892b8e80e8b4bd75335e74c066a2922049a7e3ccec051ea6"),
+    ("pruned", 4, "5af28da2e6c86d157c0531bcd8b944548e57629b1b932d1db16a114ed9516f5d"),
+    ("pruned", 5, "73cc03622f5aeea76cb5182c2779a2be54d72af03dd866292f3ecf36a2b346d6"),
+    ("pruned", 6, "9cd83e6e9868c87a682a651a4fb19847bd11300a73e982938e086ba8b6860ef8"),
+    ("pruned", 7, "74a2f70e1ad432e7a0f028dda69c30daaec2ac82837b8685ae94a277dc0e9a01"),
+    ("pruned", 8, "7359849ef7d6e3a98893295859e0727b10bfa7b478d08755e978fe83ca5b05bb"),
+]
+
+
+@pytest.mark.parametrize("mode,m,digest", ORACLE_DIGESTS)
+def test_oracle_stdout_is_pinned(capsys, mode, m, digest):
+    status, out, err = run(capsys, "oracle", "--m", str(m), "--mode", mode)
+    assert (status, err) == (0, "")
+    stripped, cut = re.subn(r',"millis":[0-9.]+', "", out)
+    assert cut == 1
+    assert hashlib.sha256(stripped.encode()).hexdigest() == digest
 
 
 def test_oracle_naive_cap_maps_to_domain_error(capsys):

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import functools
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import edges
 from convex_blockers.blockers import enumerate_blockers, parse_blocker, BlockerSpec
 from convex_blockers.errors import InputError, ResourceLimitError
-from convex_blockers.geometry import Edge, PolygonContext
+from convex_blockers.geometry import Edge, PolygonContext, parallel_class
 from convex_blockers.matchings import enumerate_spms
 from convex_blockers.oracle import (
     MODE_CLASS_PRUNED,
     MODE_NAIVE,
+    SpmFamilyIndex,
+    _search_class_pruned,
+    _search_naive,
     build_family_index,
     find_minimum_blockers,
     is_blocking_set,
@@ -176,3 +182,131 @@ def test_report_json_shape():
     assert [[0, 1], [1, 2]] in payload["sets"]
     assert payload["nodes"] >= 1
     assert payload["millis"] >= 0
+
+
+# ---------------------------------------------------------------------------
+# the nodes contract, and the searches against their slow twins
+# ---------------------------------------------------------------------------
+
+NAIVE_NODES = {1: 1, 2: 21, 3: 575, 4: 24157, 5: 1385979}
+PRUNED_NODES = {1: 2, 2: 7, 3: 40, 4: 197, 5: 801, 6: 2887, 7: 9584, 8: 30057}
+
+
+@functools.lru_cache(maxsize=None)
+def _index(m: int) -> SpmFamilyIndex:
+    return build_family_index(PolygonContext(m))
+
+
+@pytest.mark.parametrize("m,nodes", NAIVE_NODES.items())
+def test_naive_nodes_count_every_subset_tested(m, nodes):
+    assert find_minimum_blockers(_index(m), MODE_NAIVE).nodes == nodes
+
+
+@pytest.mark.parametrize("m,nodes", PRUNED_NODES.items())
+def test_pruned_nodes_count_every_dfs_call(m, nodes):
+    assert find_minimum_blockers(_index(m), MODE_CLASS_PRUNED).nodes == nodes
+
+
+def _slow_search_naive(index):
+    """Reference naive search: ORs the hits of every combination afresh."""
+    ctx = index.ctx
+    hits = index.per_edge_hits
+    full = index.full_cover
+    nodes = 0
+    for size in range(1, ctx.m + 1):
+        found = []
+        for combo in itertools.combinations(range(ctx.edge_count), size):
+            nodes += 1
+            covered = 0
+            for i in combo:
+                covered |= hits[i]
+            if covered == full:
+                found.append(frozenset(ctx.edge_at(i) for i in combo))
+        if found:
+            break
+    return size, found, nodes
+
+
+def _slow_search_class_pruned(index):
+    """Reference pruned search: complements the hit masks at every node."""
+    ctx = index.ctx
+    hits = index.per_edge_hits
+    class_edges = [[(e, hits[ctx.edge_index(e)]) for e in parallel_class(ctx, c)]
+                   for c in range(1, ctx.n, 2)]
+    suffix = [0] * (len(class_edges) + 1)
+    for i in range(len(class_edges) - 1, -1, -1):
+        suffix[i] = suffix[i + 1]
+        for _e, h in class_edges[i]:
+            suffix[i] |= h
+    found = []
+    chosen = []
+    nodes = 0
+
+    def walk(i, unhit):
+        nonlocal nodes
+        nodes += 1
+        if unhit & ~suffix[i]:
+            return
+        if i == len(class_edges):
+            found.append(frozenset(chosen))
+            return
+        for e, h in class_edges[i]:
+            chosen.append(e)
+            walk(i + 1, unhit & ~h)
+            chosen.pop()
+
+    walk(0, index.full_cover)
+    return ctx.m, found, nodes
+
+
+def _restricted(index: SpmFamilyIndex, keep) -> SpmFamilyIndex:
+    """The family of the matchings at the kept positions, renumbered in
+    order, so that `full_cover` follows the subset."""
+    spms = tuple(index.spms[p] for p in sorted(keep))
+    hits = [0] * index.ctx.edge_count
+    for position, bits in enumerate(spms):
+        for i in range(index.ctx.edge_count):
+            if bits >> i & 1:
+                hits[i] |= 1 << position
+    return SpmFamilyIndex(index.ctx, spms, tuple(hits))
+
+
+def _draw_restricted(data, m_min, m_max):
+    index = _index(data.draw(st.integers(m_min, m_max)))
+    # One coin per matching drops it, so a typical draw keeps a uniform
+    # random half and shrinking heads for the whole family.  Near-empty
+    # families cost up to m^m pruned nodes; the empty one has its own test.
+    dropped = data.draw(st.lists(st.booleans(), min_size=index.spm_count,
+                                 max_size=index.spm_count))
+    return _restricted(index, [p for p, drop in enumerate(dropped) if not drop])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_naive_search_equals_its_slow_twin_on_restricted_families(data):
+    index = _draw_restricted(data, 2, 5)
+    assert _search_naive(index) == _slow_search_naive(index)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pruned_search_equals_its_slow_twin_on_restricted_families(data):
+    index = _draw_restricted(data, 2, 7)
+    assert _search_class_pruned(index) == _slow_search_class_pruned(index)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_empty_family_is_blocked_by_every_singleton(m):
+    index = _restricted(_index(m), ())
+    size, sets, nodes = _search_naive(index)
+    assert (size, nodes) == (1, index.ctx.edge_count)
+    assert sets == [frozenset([e]) for e in index.ctx.edges()]
+    assert (size, sets, nodes) == _slow_search_naive(index)
+    assert _search_class_pruned(index) == _slow_search_class_pruned(index)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_restricting_to_every_matching_changes_nothing(m):
+    index = _index(m)
+    whole = _restricted(index, range(index.spm_count))
+    assert whole == index
