@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, StructureError
+from .errors import InputError, StructureError, check_min
 from .geometry import (
     Edge,
     PolygonContext,
@@ -79,8 +79,7 @@ class BlockerSpec:
 
     def validate(self, ctx: PolygonContext) -> "BlockerSpec":
         m = ctx.m
-        if m < 2:
-            raise InputError("blockers require m >= 2")
+        check_min(m, 2)
         if not 0 <= self.start < ctx.n:
             raise InputError(f"start must be in 0..{ctx.n - 1}, got {self.start}")
         if not 2 <= self.t <= m:
@@ -152,8 +151,7 @@ def generate_blocker(ctx: PolygonContext, spec: BlockerSpec) -> frozenset[Edge]:
 def enumerate_blocker_specs(ctx: PolygonContext) -> list[BlockerSpec]:
     """Every canonical spec once: starts ascending, spine lengths ascending,
     offset tuples in lexicographic order."""
-    if ctx.m < 2:
-        raise InputError("blockers require m >= 2")
+    check_min(ctx.m, 2)
     out = []
     for start in range(ctx.n):
         for t in range(2, ctx.m + 1):
@@ -169,16 +167,14 @@ def enumerate_blockers(ctx: PolygonContext) -> list[frozenset[Edge]]:
 
 def count_blockers(m: int) -> int:
     """Closed-form blocker count m * 2^(m-1), exact at any size."""
-    if m < 2:
-        raise InputError(f"m must be >= 2, got {m}")
+    check_min(m, 2)
     return m << (m - 1)
 
 
 def count_blockers_by_spine(m: int, t: int) -> int:
     """Blockers with a fixed oriented spine start and exactly t boundary
     edges: one per (m-t)-subset of {1..m-2}, i.e. C(m-2, t-2)."""
-    if m < 2:
-        raise InputError(f"m must be >= 2, got {m}")
+    check_min(m, 2)
     if not 2 <= t <= m:
         raise InputError(f"t must be in 2..{m}, got {t}")
     return math.comb(m - 2, t - 2)
@@ -279,8 +275,7 @@ def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolati
 
     A wrong cardinality is an input error rather than a violation.
     """
-    if ctx.m < 2:
-        raise InputError("blockers require m >= 2")
+    check_min(ctx.m, 2)
     edges = frozenset(edges)
     if len(edges) != ctx.m:
         raise InputError(f"expected exactly {ctx.m} edges, got {len(edges)}")
@@ -358,8 +353,7 @@ def restrict_blocker(ctx: PolygonContext, edges, e: Edge, f: Edge
     blocker of the polygon on 2m-2 vertices; any edge that does touch them
     proves the input broken and raises StructureError.
     """
-    if ctx.m < 2:
-        raise InputError("restriction requires m >= 2")
+    check_min(ctx.m, 2)
     edges = frozenset(edges)
     if not is_boundary_edge(ctx, e) or not is_boundary_edge(ctx, f):
         raise InputError("e and f must be boundary edges")

@@ -5,10 +5,13 @@ flags exit with status 2, domain errors with status 1; `verify` and
 `blocker check` map their verdict to the exit status.  When the reader of
 stdout goes away (`| head`), `main` stops quietly with status 1.
 
+Too small an m is refused with `m must be >= 1, got M` for the polygon,
+checked first, and `m must be >= 2, got M` for every `blocker` command and
+`render --blocker-spec`.  `verify` refuses `--m-min` below 2 by its range.
 Size caps refuse with `m=M exceeds the WHAT cap CAP` before any work:
 enumeration (12, or CONVEX_BLOCKERS_MAX_M) for `spm enumerate`, `blocker
-enumerate`, `oracle` and `verify`; naive search (5) and pruned search (8)
-for `oracle`, which checks it before building the index, and `verify`,
+enumerate`, `oracle` and `verify`; naive search (5, fixed) and pruned search
+(8) for `oracle`, which checks it before building the index, and `verify`,
 which checks every m of its range up front.  `blocker check` never
 enumerates matchings (its blocking check is O(m^3)) and has no cap.
 """

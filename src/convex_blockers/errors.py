@@ -15,6 +15,12 @@ def check_cap(m: int, cap: int, what: str) -> None:
         raise ResourceLimitError(f"m={m} exceeds the {what} cap {cap}")
 
 
+def check_min(m: int, least: int) -> None:
+    """Refuse m below `least` in the one lower-bound message."""
+    if m < least:
+        raise InputError(f"m must be >= {least}, got {m}")
+
+
 class InfeasibilityError(ValueError):
     """The requested combinatorial object does not exist."""
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import InputError
+from .errors import InputError, check_min
 
 __all__ = [
     "Edge",
@@ -70,7 +70,7 @@ class Edge:
         return f"Edge({self.a}, {self.b})"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class PolygonContext:
     """The complete geometric graph on a convex polygon with 2m vertices.
 
@@ -82,8 +82,7 @@ class PolygonContext:
     m: int
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise InputError(f"m must be >= 1, got {self.m}")
+        check_min(self.m, 1)
 
     @property
     def n(self) -> int:
@@ -94,9 +93,6 @@ class PolygonContext:
     def edge_count(self) -> int:
         """Number of edges of the complete graph, m(2m-1)."""
         return self.m * (2 * self.m - 1)
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def edge(self, u: int, v: int) -> Edge:
         """Edge between two vertices given modulo 2m."""

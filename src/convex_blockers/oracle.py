@@ -121,11 +121,11 @@ class OracleResult:
     millis: float
 
 
-def check_search_cap(m: int, mode: str, *, naive_cap: int = DEFAULT_NAIVE_CAP,
-                     pruned_cap: int = DEFAULT_PRUNED_CAP) -> None:
-    """Refuse an unknown mode, or m beyond its search cap, before any work."""
+def check_search_cap(m: int, mode: str, *, pruned_cap: int = DEFAULT_PRUNED_CAP) -> None:
+    """Refuse an unknown mode, or m beyond its search cap, before any work.
+    The naive cap is fixed at 5; `pruned_cap` is the way past m = 8."""
     if mode == MODE_NAIVE:
-        check_cap(m, naive_cap, "naive search")
+        check_cap(m, DEFAULT_NAIVE_CAP, "naive search")
     elif mode == MODE_CLASS_PRUNED:
         check_cap(m, pruned_cap, "pruned search")
     else:
@@ -133,7 +133,6 @@ def check_search_cap(m: int, mode: str, *, naive_cap: int = DEFAULT_NAIVE_CAP,
 
 
 def find_minimum_blockers(index: SpmFamilyIndex, mode: str = MODE_CLASS_PRUNED, *,
-                          naive_cap: int = DEFAULT_NAIVE_CAP,
                           pruned_cap: int = DEFAULT_PRUNED_CAP) -> OracleResult:
     """Search for all minimum blocking sets, sorted by their edge lists.
 
@@ -150,9 +149,9 @@ def find_minimum_blockers(index: SpmFamilyIndex, mode: str = MODE_CLASS_PRUNED, 
 
     `nodes` counts the search effort.  For naive it is every subset tested,
     summed over the sizes 1..minimum; for class_pruned it is every DFS call,
-    the pruned ones included.
+    the pruned ones included.  `check_search_cap` refuses m first.
     """
-    check_search_cap(index.ctx.m, mode, naive_cap=naive_cap, pruned_cap=pruned_cap)
+    check_search_cap(index.ctx.m, mode, pruned_cap=pruned_cap)
     search = _search_naive if mode == MODE_NAIVE else _search_class_pruned
     started = time.perf_counter()
     size, sets, nodes = search(index)

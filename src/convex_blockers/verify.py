@@ -14,11 +14,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .blockers import enumerate_blockers, count_blockers, validate_caterpillar
-from .errors import InputError, check_cap
+from .errors import InputError, check_cap, check_min
 from .geometry import PolygonContext, edges_to_lists, is_boundary_edge
 from .matchings import DEFAULT_MAX_M, catalan_number
 from .oracle import (
-    DEFAULT_NAIVE_CAP,
     DEFAULT_PRUNED_CAP,
     MODE_CLASS_PRUNED,
     MODE_NAIVE,
@@ -105,26 +104,26 @@ class VerificationReport:
 
 
 def verify_theorem(m_min: int, m_max: int, naive_up_to: int = 0, *,
-                   naive_cap: int = DEFAULT_NAIVE_CAP,
                    pruned_cap: int = DEFAULT_PRUNED_CAP,
                    max_m: int = DEFAULT_MAX_M) -> list[VerificationReport]:
     """One report per m in m_min..m_max; the naive search also runs for
-    m <= naive_up_to.  An m beyond any cap is refused before any work."""
+    m <= naive_up_to.  An m beyond any cap (enumeration `max_m`, pruned
+    search `pruned_cap`, or the fixed naive-search cap 5 for m <= naive_up_to)
+    is refused before any work, naming the first such m."""
     if not 2 <= m_min <= m_max:
         raise InputError(f"need 2 <= m_min <= m_max, got {m_min}..{m_max}")
     for m in range(m_min, m_max + 1):
         check_cap(m, max_m, "enumeration")
         check_search_cap(m, MODE_CLASS_PRUNED, pruned_cap=pruned_cap)
         if m <= naive_up_to:
-            check_search_cap(m, MODE_NAIVE, naive_cap=naive_cap)
+            check_search_cap(m, MODE_NAIVE)
     return [
-        _verify_single(m, naive=m <= naive_up_to, naive_cap=naive_cap,
-                       pruned_cap=pruned_cap, max_m=max_m)
+        _verify_single(m, naive=m <= naive_up_to, pruned_cap=pruned_cap, max_m=max_m)
         for m in range(m_min, m_max + 1)
     ]
 
 
-def _verify_single(m: int, *, naive: bool, naive_cap: int, pruned_cap: int,
+def _verify_single(m: int, *, naive: bool, pruned_cap: int,
                    max_m: int) -> VerificationReport:
     ctx = PolygonContext(m)
     durations: dict[str, float] = {}
@@ -153,7 +152,7 @@ def _verify_single(m: int, *, naive: bool, naive_cap: int, pruned_cap: int,
     lower_bound: bool | None = None
     if naive:
         with _timed(durations, "oracle_naive"):
-            naive_result = find_minimum_blockers(index, MODE_NAIVE, naive_cap=naive_cap)
+            naive_result = find_minimum_blockers(index, MODE_NAIVE)
         naive_agrees = set(naive_result.minimum_sets) == oracle_sets
         lower_bound = naive_result.minimum_size == m
 
@@ -178,8 +177,7 @@ def _verify_single(m: int, *, naive: bool, naive_cap: int, pruned_cap: int,
 def verify_special_blockers(m: int) -> bool:
     """Half-boundaries and odd stars at every rotation block everything,
     and every search-found minimum blocker keeps >= 2 boundary edges."""
-    if m < 2:
-        raise InputError("special-blocker checks require m >= 2")
+    check_min(m, 2)
     check_search_cap(m, MODE_CLASS_PRUNED)
     ctx = PolygonContext(m)
     index = build_family_index(ctx)

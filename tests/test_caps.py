@@ -1,12 +1,21 @@
-"""The three size caps: one message format, and every refusal before any work."""
+"""Every bound on m: one message for the lower bounds and one for the three
+size caps, and every refusal before any work."""
 
 from __future__ import annotations
 
 import pytest
 
 from convex_blockers import cli, verify
-from convex_blockers.errors import ResourceLimitError
-from convex_blockers.geometry import PolygonContext
+from convex_blockers.blockers import (
+    BlockerSpec,
+    count_blockers,
+    count_blockers_by_spine,
+    enumerate_blocker_specs,
+    parse_blocker,
+    restrict_blocker,
+)
+from convex_blockers.errors import InputError, ResourceLimitError
+from convex_blockers.geometry import Edge, PolygonContext
 from convex_blockers.matchings import spm_pairs
 from convex_blockers.oracle import (
     MODE_CLASS_PRUNED,
@@ -86,3 +95,54 @@ def test_special_blockers_refuse_the_pruned_cap_before_the_index(monkeypatch):
     monkeypatch.setattr(verify, "build_family_index", no_index)
     with pytest.raises(ResourceLimitError, match="m=9 exceeds the pruned search cap 8"):
         verify_special_blockers(9)
+
+
+LOWER_BOUND_REFUSALS = [
+    (["spm", "enumerate", "--m", "0"], "m must be >= 1, got 0"),
+    (["spm", "parallel", "--m", "0", "--l", "0"], "m must be >= 1, got 0"),
+    (["spm", "triangular", "--m", "0", "--edges", "1,2,3"], "m must be >= 1, got 0"),
+    (["blocker", "enumerate", "--m", "0"], "m must be >= 1, got 0"),
+    (["blocker", "count", "--m", "0"], "m must be >= 2, got 0"),
+    (["blocker", "count", "--m", "0", "--by-spine"], "m must be >= 2, got 0"),
+    (["blocker", "check", "--m", "0", "--edges", "0-1"], "m must be >= 1, got 0"),
+    (["oracle", "--m", "0"], "m must be >= 1, got 0"),
+    (["oracle", "--m", "0", "--mode", "naive"], "m must be >= 1, got 0"),
+    (["render", "--m", "0", "--edges", "0-1"], "m must be >= 1, got 0"),
+    (["render", "--m", "0", "--blocker-spec", "0,2"], "m must be >= 1, got 0"),
+    (["blocker", "enumerate", "--m", "1"], "m must be >= 2, got 1"),
+    (["blocker", "count", "--m", "1"], "m must be >= 2, got 1"),
+    (["blocker", "count", "--m", "1", "--by-spine"], "m must be >= 2, got 1"),
+    (["blocker", "check", "--m", "1", "--edges", "0-1"], "m must be >= 2, got 1"),
+    (["render", "--m", "1", "--blocker-spec", "0,2"], "m must be >= 2, got 1"),
+    (["verify", "--m-min", "1", "--m-max", "3"], "need 2 <= m_min <= m_max, got 1..3"),
+]
+
+
+@pytest.mark.parametrize("argv, message", LOWER_BOUND_REFUSALS,
+                         ids=["_".join(argv).replace("--", "").replace(",", "_")
+                              for argv, _message in LOWER_BOUND_REFUSALS])
+def test_every_lower_bound_refusal(capsys, tmp_path, argv, message):
+    target = tmp_path / "x.svg"
+    if argv[0] == "render":
+        argv = [*argv, "--out", str(target)]
+    assert cli_refusal(capsys, *argv) == message
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("m, least, call", [
+    (0, 1, lambda: PolygonContext(0)),
+    (1, 2, lambda: BlockerSpec(0, 2).validate(PolygonContext(1))),
+    (1, 2, lambda: enumerate_blocker_specs(PolygonContext(1))),
+    (1, 2, lambda: parse_blocker(PolygonContext(1), [Edge(0, 1)])),
+    (1, 2, lambda: count_blockers(1)),
+    (1, 2, lambda: count_blockers_by_spine(1, 2)),
+    (1, 2, lambda: restrict_blocker(PolygonContext(1), [Edge(0, 1)],
+                                    Edge(0, 1), Edge(0, 1))),
+    (1, 2, lambda: verify_special_blockers(1)),
+], ids=["PolygonContext", "BlockerSpec.validate", "enumerate_blocker_specs",
+        "parse_blocker", "count_blockers", "count_blockers_by_spine",
+        "restrict_blocker", "verify_special_blockers"])
+def test_every_library_lower_bound_has_the_one_message(m, least, call):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == f"m must be >= {least}, got {m}"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,10 +12,12 @@ from pathlib import Path
 import pytest
 
 import convex_blockers
-from convex_blockers.blockers import BlockerSpec, generate_blocker
+from conftest import edges
+from convex_blockers.blockers import BlockerSpec, enumerate_blockers, generate_blocker
 from convex_blockers.cli import run_cli
 from convex_blockers.geometry import Edge, PolygonContext, edges_to_lists, edges_to_text
 from convex_blockers.matchings import enumerate_spms, is_spm
+from test_blockers import MUTANTS
 
 
 def run(capsys, *args):
@@ -234,6 +237,67 @@ def test_oracle_stdout_is_pinned(capsys, mode, m, digest):
     stripped, cut = re.subn(r',"millis":[0-9.]+', "", out)
     assert cut == 1
     assert hashlib.sha256(stripped.encode()).hexdigest() == digest
+
+
+# SHA-256 digests of more outputs, recorded before every bound on m moved
+# behind `errors`: `verify` stdout with "durations_ms" cut out, `blocker
+# enumerate` in both formats, and `blocker check` over a fixed corpus.
+VERIFY_DIGEST = "7d66ad34b3f63a05af507586731a0c266ca46957ee437070a22e154440465f5b"
+ENUMERATE_DIGESTS = [
+    ("lines", 2, "ec4f8147fe88067c92d770600fb36e626d59a260a005b89df64a8c5973864111"),
+    ("lines", 3, "17167eed788d32bad512b6af624712854a7d5fa0c4d7d1e95ae03b012df8da91"),
+    ("lines", 4, "2ee29794043502470c31608fe2464b1b9fac730b8ca39b052a9b69647b28d7ba"),
+    ("lines", 5, "4b625ba6d8a360217cf09d597eb550628f96558e24949ee8b3306b5378ded85f"),
+    ("lines", 6, "e8c994b92a5de61acec84390853276a349b6920b629a5a6d3a90363f7296294d"),
+    ("json", 2, "074f34840639afc1233996951b22ae0453b75bf650872bf3d3976bec0946667b"),
+    ("json", 3, "b99545b947ce2cfef4b40aa911261a2e06e5e579485cc48e36d72b31f25e8b01"),
+    ("json", 4, "48c51fe3149f23b74a4abdb03af1bf5b0c14e829e714072469a24f7e78a8cabd"),
+    ("json", 5, "3dc2a068204a411ed5ba6db91ce2efb28cb21f29ca7fd6f1e90ba954787dab0d"),
+    ("json", 6, "51d971b6b46eec1546f68059b47e03d0c42cacc9d4823b21b01bb55348824f10"),
+]
+CHECK_CORPUS_DIGEST = "d73c23860c66d15e7778c93fa36380d4aab3d74c15e987cc5257525b080059c3"
+
+
+def test_verify_stdout_is_pinned(capsys):
+    status, out, err = run(capsys, "verify", "--m-min", "2", "--m-max", "8",
+                           "--naive-up-to", "5")
+    assert (status, err) == (0, "")
+    stripped, cut = re.subn(r',"durations_ms":\{[^}]*\}', "", out)
+    assert cut == 7
+    assert hashlib.sha256(stripped.encode()).hexdigest() == VERIFY_DIGEST
+
+
+@pytest.mark.parametrize("fmt,m,digest", ENUMERATE_DIGESTS,
+                         ids=[f"{fmt}-{m}" for fmt, m, _digest in ENUMERATE_DIGESTS])
+def test_blocker_enumerate_stdout_is_pinned(capsys, fmt, m, digest):
+    status, out, err = run(capsys, "blocker", "enumerate", "--m", str(m),
+                           "--format", fmt)
+    assert (status, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def check_corpus() -> list[tuple[int, frozenset[Edge]]]:
+    """Every blocker for m = 2..5, each followed by a seeded swap of one of
+    its edges for an edge outside it, then the structural mutants."""
+    rng = random.Random(2009)
+    corpus = []
+    for m in range(2, 6):
+        ctx = PolygonContext(m)
+        universe = list(ctx.edges())
+        for blocker in enumerate_blockers(ctx):
+            dropped = rng.choice(sorted(blocker))
+            added = rng.choice([e for e in universe if e not in blocker])
+            corpus += [(m, blocker), (m, blocker - {dropped} | {added})]
+    return corpus + [(m, edges(text)) for m, text, _name in MUTANTS]
+
+
+def test_blocker_check_over_a_fixed_corpus_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for m, edge_set in check_corpus():
+        status, out, err = run(capsys, "blocker", "check", "--m", str(m),
+                               "--edges", edges_to_text(edge_set))
+        digest.update(f"{status}\n{out}{err}".encode())
+    assert digest.hexdigest() == CHECK_CORPUS_DIGEST
 
 
 def test_oracle_naive_cap_maps_to_domain_error(capsys):

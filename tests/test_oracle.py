@@ -159,9 +159,6 @@ def test_search_caps():
     with pytest.raises(ResourceLimitError):
         find_minimum_blockers(index, MODE_NAIVE)
     with pytest.raises(ResourceLimitError):
-        find_minimum_blockers(build_family_index(PolygonContext(3)),
-                              MODE_NAIVE, naive_cap=2)
-    with pytest.raises(ResourceLimitError):
         find_minimum_blockers(index, MODE_CLASS_PRUNED, pruned_cap=5)
 
 

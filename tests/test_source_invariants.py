@@ -1,0 +1,119 @@
+"""Rules on the package source, read from its syntax tree.
+
+No program logic rests on `assert`, `errors.check_cap` is the only place
+that raises ResourceLimitError, and `errors.check_min` is the only place
+that refuses m below a lower bound.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import convex_blockers
+
+SOURCES = sorted(Path(convex_blockers.__file__).parent.glob("*.py"))
+LOWER_BOUND_TEXT = re.compile(r"\bm (must be )?>= ")
+
+
+def _is_m(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "m"
+            or isinstance(node, ast.Attribute) and node.attr == "m")
+
+
+def _is_number(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, int)
+
+
+def _bounds_m_from_below(test: ast.AST) -> bool:
+    """True for a test that holds when m is below a number, such as `m < 2`,
+    `2 > ctx.m` or `not ctx.m >= 2`; `t > m` bounds t, not m."""
+    negated = isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)
+    if negated:
+        test = test.operand
+    if not isinstance(test, ast.Compare):
+        return False
+    below, above = (ast.Lt, ast.LtE), (ast.Gt, ast.GtE)
+    if negated:
+        below, above = above, below
+    sides = [test.left, *test.comparators]
+    return any(_is_m(left) and isinstance(op, below) and _is_number(right)
+               or _is_m(right) and isinstance(op, above) and _is_number(left)
+               for left, op, right in zip(sides, test.ops, sides[1:]))
+
+
+def _raised_name(node: ast.Raise) -> str | None:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    if isinstance(exc, ast.Name):
+        return exc.id
+    if isinstance(exc, ast.Attribute):
+        return exc.attr
+    return None
+
+
+def _message_bounds_m(node: ast.Raise) -> bool:
+    return any(isinstance(part, ast.Constant) and isinstance(part.value, str)
+               and LOWER_BOUND_TEXT.search(part.value)
+               for part in ast.walk(node))
+
+
+def findings(source: str) -> list[str]:
+    """Every breach of the rules in one module's text, as `line: rule`."""
+    out = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Assert):
+            out.append(f"{node.lineno}: assert statement")
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            if _raised_name(node) == "ResourceLimitError" and function != "check_cap":
+                out.append(f"{node.lineno}: ResourceLimitError outside check_cap")
+            if _message_bounds_m(node) and function != "check_min":
+                out.append(f"{node.lineno}: lower bound on m outside check_min")
+        elif (isinstance(node, ast.If) and _bounds_m_from_below(node.test)
+              and any(isinstance(s, ast.Raise) for s in node.body)
+              and function != "check_min"):
+            out.append(f"{node.lineno}: lower bound on m outside check_min")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_package_source_keeps_the_rules(path):
+    assert findings(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("assert x\n", ["1: assert statement"]),
+    ("def f():\n    raise ResourceLimitError('too big')\n",
+     ["2: ResourceLimitError outside check_cap"]),
+    ("def f(m):\n    if m < 2:\n        raise InputError('bad')\n",
+     ["2: lower bound on m outside check_min"]),
+    ("def f(ctx):\n    if 2 > ctx.m:\n        raise ValueError\n",
+     ["2: lower bound on m outside check_min"]),
+    ("def f(ctx):\n    if not ctx.m >= 2:\n        raise InputError('bad')\n",
+     ["2: lower bound on m outside check_min"]),
+    ("def f():\n    raise InputError('blockers require m >= 2')\n",
+     ["2: lower bound on m outside check_min"]),
+    ("def f(m):\n    raise InputError(f'm must be >= 2, got {m}')\n",
+     ["2: lower bound on m outside check_min"]),
+    ("def check_cap(m, cap, what):\n    if m > cap:\n"
+     "        raise ResourceLimitError(f'm={m} exceeds the {what} cap {cap}')\n", []),
+    ("def check_min(m, least):\n    if m < least:\n"
+     "        raise InputError(f'm must be >= {least}, got {m}')\n", []),
+    ("def f(m, k):\n    if m <= 2:\n        run()\n", []),
+    ("def f(m, t):\n    if not 2 <= t <= m:\n        raise InputError('bad t')\n", []),
+    ("def f(m_min, m_max):\n    if not 2 <= m_min <= m_max:\n"
+     "        raise InputError('need 2 <= m_min <= m_max')\n", []),
+], ids=["assert", "resource-limit", "m-below", "bound-above-m", "negated",
+        "message", "f-string", "check_cap", "check_min", "no-raise", "bound-on-t",
+        "other-name"])
+def test_findings_name_each_breach(source, expected):
+    assert findings(source) == expected

@@ -61,8 +61,8 @@ def test_naive_cap_is_refused_before_any_work(monkeypatch):
     monkeypatch.setattr(verify, "build_family_index", no_index)
     with pytest.raises(ResourceLimitError, match="m=6 exceeds the naive search cap 5"):
         verify_theorem(2, 6, 6)
-    with pytest.raises(ResourceLimitError, match="m=4 exceeds the naive search cap 3"):
-        verify_theorem(4, 6, 5, naive_cap=3)
+    with pytest.raises(ResourceLimitError, match="m=6 exceeds the naive search cap 5"):
+        verify_theorem(2, 8, 7)
 
 
 def test_naive_up_to_beyond_m_max_is_not_refused():
