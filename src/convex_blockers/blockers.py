@@ -113,15 +113,13 @@ class CaterpillarReport:
 
     `violations` is empty exactly when the set could have come out of
     `generate_blocker`; the remaining fields are best-effort descriptions
-    either way (`boundary_path` is the longest run of boundary edges,
-    `leg_attachments` maps each interior vertex of that run to its
-    incident diagonals).
+    either way: `boundary_path` is the longest run of boundary edges and
+    `spine_length` its length.  `to_json` carries every field.
     """
 
     is_tree: bool
     boundary_path: tuple[Edge, ...]
     spine_length: int
-    leg_attachments: dict[int, tuple[Edge, ...]]
     violations: list[StructuralViolation]
 
     @property
@@ -206,12 +204,11 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
 
     Check order: one edge per odd parallel class, boundary count >= 2,
     boundary consecutiveness, crossing-freeness, leg attachment locations,
-    leg distance gaps.  Returns (violations, edge_list, interior, runs,
-    spine): edge_list is the sorted edges and interior its non-boundary
-    edges, runs are the maximal boundary runs from `_boundary_runs`, and
-    spine is (start, t, legs) once the boundary edges form a single run of
-    length >= 2; legs are (attach, far, edge) triples in start-relative
-    labels.
+    leg distance gaps.  Returns (violations, edge_list, runs, spine):
+    edge_list is the sorted edges, runs are the maximal boundary runs from
+    `_boundary_runs`, and spine is (start, t, legs) once the boundary edges
+    form a single run of length >= 2; legs are (attach, far, edge) triples
+    in start-relative labels.
     """
     n = ctx.n
     edge_list = sorted(map(ctx.check_edge, edges))
@@ -266,7 +263,7 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
                 violations.append(StructuralViolation(
                     VIOLATION_LEG_GAP, tuple(sorted((e1, e2)))))
         spine = (start, t, legs)
-    return violations, edge_list, interior, runs, spine
+    return violations, edge_list, runs, spine
 
 
 def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolation:
@@ -323,10 +320,10 @@ def validate_caterpillar(ctx: PolygonContext, edges) -> CaterpillarReport:
     """Full structural report for an arbitrary edge set.
 
     Collects every violation (tree-ness first, then the parse checks) and
-    describes the longest boundary run and its leg attachments.
+    describes the longest boundary run.
     """
     edges = frozenset(edges)
-    scan_violations, edge_list, interior, runs, _spine = _scan(ctx, edges)
+    scan_violations, edge_list, runs, _spine = _scan(ctx, edges)
     violations: list[StructuralViolation] = []
     tree = _is_tree(edges)
     if not tree:
@@ -336,11 +333,7 @@ def validate_caterpillar(ctx: PolygonContext, edges) -> CaterpillarReport:
 
     start, length = max(runs, key=lambda run: (run[1], -run[0]), default=(0, 0))
     path = tuple(ctx.boundary_edge(start + i) for i in range(length))
-    leg_map: dict[int, tuple[Edge, ...]] = {}
-    for i in range(1, length):
-        v = (start + i) % ctx.n
-        leg_map[v] = tuple(e for e in interior if e.touches(v))
-    return CaterpillarReport(tree, path, length, leg_map, violations)
+    return CaterpillarReport(tree, path, length, violations)
 
 
 def restrict_blocker(ctx: PolygonContext, edges, e: Edge, f: Edge

@@ -88,7 +88,7 @@ def cmd_spm_enumerate(ns: argparse.Namespace) -> int:
         _print_json(list(spms))
     else:
         # The pairs come sorted, so each line joins the texts of its edges.
-        text = {(e.a, e.b): edge_to_text(e) for e in ctx.edges()}.__getitem__
+        text = {e: edge_to_text(e) for e in ctx.edges()}.__getitem__
         sys.stdout.writelines(",".join(map(text, s)) + "\n" for s in spms)
     return 0
 

@@ -6,6 +6,8 @@ modulo 2m, so results are exact and independent of any drawing.
 
 Key facts baked into the representation:
 
+* An `Edge` is the normalized vertex pair (a, b) with a < b, a tuple of
+  two ints; it keys any table directly, with no second pair form.
 * The *order* of an edge [i, i+k] is min(k, 2m-k); order-1 edges lie on
   the polygon boundary, everything else is a diagonal.
 * Two vertex-disjoint edges are *parallel* exactly when their endpoint
@@ -19,6 +21,7 @@ Key facts baked into the representation:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -42,29 +45,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
-    """Unordered vertex pair, stored with a < b."""
+class Edge(namedtuple("_EdgePair", "a b")):
+    """Unordered vertex pair: the int tuple (a, b) with a < b.  It hashes,
+    compares, sorts and JSON-encodes as that pair, so Edge(3, 1) == (1, 3);
+    `PolygonContext.check_edge` still refuses plain tuples."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise InputError(f"degenerate edge [{self.a},{self.b}]")
-        if self.a < 0 or self.b < 0:
-            raise InputError(f"negative vertex in [{self.a},{self.b}]")
-        if self.a > self.b:
-            a, b = self.b, self.a
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
+    def __new__(cls, a: int, b: int) -> "Edge":
+        if a == b:
+            raise InputError(f"degenerate edge [{a},{b}]")
+        if a < 0 or b < 0:
+            raise InputError(f"negative vertex in [{a},{b}]")
+        return tuple.__new__(cls, (a, b) if a < b else (b, a))
+
+    @classmethod
+    def _make(cls, iterable) -> "Edge":  # `_replace` too: no unchecked edges
+        return cls(*iterable)
 
     def touches(self, vertex: int) -> bool:
-        return vertex == self.a or vertex == self.b
+        return vertex in self
 
     def shares_vertex(self, other: "Edge") -> bool:
-        return (self.a == other.a or self.a == other.b
-                or self.b == other.a or self.b == other.b)
+        return self.a in other or self.b in other
 
     def __repr__(self) -> str:
         return f"Edge({self.a}, {self.b})"
@@ -238,4 +241,4 @@ def edges_from_text(text: str) -> frozenset[Edge]:
 
 def edges_to_lists(edges: Iterable[Edge]) -> list[list[int]]:
     """JSON form [[a, b], ...], sorted."""
-    return [[e.a, e.b] for e in sorted(edges)]
+    return [list(e) for e in sorted(edges)]

@@ -90,7 +90,8 @@ def _pair_matchings(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
 def spm_pairs(ctx: PolygonContext, *, max_m: int = DEFAULT_MAX_M
               ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Iterator over all simple perfect matchings as sorted tuples of
-    (a, b) vertex pairs with a < b, in lexicographic order.
+    (a, b) vertex pairs with a < b, in lexicographic order.  The pairs are
+    exact int tuples, each equal to the `Edge` of `enumerate_spms`.
 
     The order is that of `enumerate_spms`: each tuple lists its edges by
     first vertex, the first edge (0, k) comes out with k ascending, and for
@@ -108,7 +109,7 @@ def enumerate_spms(ctx: PolygonContext, *, max_m: int = DEFAULT_MAX_M) -> list[M
     The count is the m-th Catalan number.  Refuses m beyond `max_m`.
     """
     pairs = spm_pairs(ctx, max_m=max_m)
-    edge_of = {(e.a, e.b): e for e in ctx.edges()}.__getitem__
+    edge_of = {e: e for e in ctx.edges()}.__getitem__
     return [frozenset(map(edge_of, s)) for s in pairs]
 
 
@@ -120,7 +121,7 @@ def first_avoiding_spm(ctx: PolygonContext, edges) -> Matching | None:
     table instead of listing matchings: O(m^3) time and O(m^2) memory, so
     no enumeration cap applies.
     """
-    banned = {(e.a, e.b) for e in map(ctx.check_edge, edges)}
+    banned = set(map(ctx.check_edge, edges))
     n = ctx.n
     # ok[i][j]: the vertices i..j-1 have a perfect matching avoiding `edges`.
     ok = [[i == j for j in range(n + 1)] for i in range(n + 1)]

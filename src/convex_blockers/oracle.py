@@ -70,11 +70,11 @@ def build_family_index(ctx: PolygonContext, *, max_m: int = DEFAULT_MAX_M
     hits = [0] * ctx.edge_count
     # The enumerator's edges are valid by construction, so a table ranks
     # them without the checks of `ctx.edge_index`.
-    rank = {(e.a, e.b): i for i, e in enumerate(ctx.edges())}
+    rank = {e: i for i, e in enumerate(ctx.edges())}
     for position, s in enumerate(enumerate_spms(ctx, max_m=max_m)):
         bits = 0
         for e in s:
-            i = rank[e.a, e.b]
+            i = rank[e]
             bits |= 1 << i
             hits[i] |= 1 << position
         spms.append(bits)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -40,7 +41,13 @@ from convex_blockers.geometry import (
     edges_cross,
     is_boundary_edge,
 )
-from convex_blockers.oracle import build_family_index, is_blocking_set
+from convex_blockers.matchings import first_avoiding_spm
+from convex_blockers.oracle import (
+    build_family_index,
+    is_blocking_set,
+    missed_spms,
+)
+from convex_blockers.render import RenderSpec, render_figure
 
 FIGURE_BLOCKER = edges("0-1,1-2,2-3,2-5,2-7,1-10")
 
@@ -189,12 +196,29 @@ def test_parse_refuses_a_spec_that_does_not_regenerate_the_set(monkeypatch):
         parse_blocker(ctx, FIGURE_BLOCKER)
 
 
-def test_parse_and_validate_reject_non_edge_members():
-    mixed = [(0, 1), Edge(1, 2), Edge(2, 3)]
-    with pytest.raises(InputError):
-        parse_blocker(PolygonContext(3), mixed)
-    with pytest.raises(InputError):
-        validate_caterpillar(PolygonContext(3), mixed)
+# Every entry that takes edges, called on a polygon and a member list.
+EDGE_ENTRIES = {
+    "parse_blocker": parse_blocker,
+    "validate_caterpillar": validate_caterpillar,
+    "first_avoiding_spm": first_avoiding_spm,
+    "is_blocking_set": lambda ctx, members: is_blocking_set(
+        build_family_index(ctx), members),
+    "missed_spms": lambda ctx, members: missed_spms(build_family_index(ctx), members),
+    "edge_index": lambda ctx, members: [ctx.edge_index(e) for e in members],
+    "render_figure": lambda ctx, members: render_figure(
+        RenderSpec(m=ctx.m, solid=tuple(members))),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_ENTRIES)
+@pytest.mark.parametrize("m, members, pair", [
+    (3, [(0, 1), Edge(1, 2), Edge(2, 3)], (0, 1)),
+    # The figure blocker with its leg 2-5 given as the equal plain pair.
+    (6, [(2, 5), *(FIGURE_BLOCKER - {(2, 5)})], (2, 5)),
+], ids=["mixed", "equal-to-member"])
+def test_edge_entries_refuse_plain_pairs(name, m, members, pair):
+    with pytest.raises(InputError, match=re.escape(f"expected an Edge, got {pair}")):
+        EDGE_ENTRIES[name](PolygonContext(m), members)
 
 
 def test_parse_wrong_cardinality_is_an_input_error():
@@ -283,10 +307,6 @@ def test_validate_accepts_figure_blocker():
     assert report.is_tree
     assert report.spine_length == 3
     assert report.boundary_path == (Edge(0, 1), Edge(1, 2), Edge(2, 3))
-    assert report.leg_attachments == {
-        1: (Edge(1, 10),),
-        2: (Edge(2, 5), Edge(2, 7)),
-    }
 
 
 def test_validate_flags_leg_at_spine_endpoint():

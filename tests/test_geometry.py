@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import copy
 import itertools
+import json
 import math
+import pickle
+import re
 
 import pytest
 from hypothesis import given
@@ -76,6 +80,63 @@ def test_edge_rejects_degenerate_and_negative():
         Edge(3, 3)
     with pytest.raises(InputError):
         Edge(-1, 2)
+
+
+def test_edge_is_its_normalized_pair():
+    assert Edge(3, 1) == Edge(1, 3) == (1, 3)
+    assert hash(Edge(3, 1)) == hash(Edge(1, 3)) == hash((1, 3))
+    assert repr(Edge(3, 1)) == "Edge(1, 3)"
+    assert json.dumps(Edge(1, 3)) == "[1, 3]"
+
+
+def test_edge_sorts_in_pair_order():
+    pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    shuffled = [Edge(b, a) for a, b in reversed(pairs)]
+    assert sorted(shuffled) == pairs
+
+
+@pytest.mark.parametrize("copy_edge", [
+    lambda e: pickle.loads(pickle.dumps(e)),
+    copy.deepcopy,
+], ids=["pickle", "deepcopy"])
+def test_edge_copies_round_trip_to_an_edge(copy_edge):
+    twin = copy_edge(Edge(4, 2))
+    assert type(twin) is Edge
+    assert twin == Edge(2, 4) and repr(twin) == "Edge(2, 4)"
+
+
+def test_edge_is_immutable():
+    e = Edge(1, 3)
+    with pytest.raises(AttributeError):
+        e.a = 5
+    with pytest.raises(AttributeError):
+        e.c = 5
+    assert e == (1, 3)
+
+
+def test_edge_refusal_messages():
+    with pytest.raises(InputError, match=re.escape("degenerate edge [3,3]")):
+        Edge(3, 3)
+    with pytest.raises(InputError, match=re.escape("negative vertex in [-1,2]")):
+        Edge(-1, 2)
+    # Degenerate is checked first, then negative.
+    with pytest.raises(InputError, match=re.escape("degenerate edge [-1,-1]")):
+        Edge(-1, -1)
+
+
+def test_edge_replace_normalizes_and_checks():
+    assert repr(Edge(1, 3)._replace(a=5)) == "Edge(3, 5)"
+    assert Edge._make([4, 2]) == (2, 4)
+    with pytest.raises(InputError, match=re.escape("degenerate edge [3,3]")):
+        Edge(1, 3)._replace(a=3)
+
+
+def test_edge_at_refuses_out_of_range_index():
+    ctx = PolygonContext(3)
+    with pytest.raises(InputError, match=re.escape("edge index -1 out of range 0..14")):
+        ctx.edge_at(-1)
+    with pytest.raises(InputError, match=re.escape("edge index 15 out of range 0..14")):
+        ctx.edge_at(ctx.edge_count)
 
 
 def test_context_rejects_nonpositive_m():

@@ -106,6 +106,17 @@ def test_enumerate_is_sorted_valid_and_distinct(m):
 
 
 @pytest.mark.parametrize("m", range(1, 8))
+def test_spm_pairs_are_exact_int_tuples_equal_to_the_edges(m):
+    ctx = PolygonContext(m)
+    pairs = list(spm_pairs(ctx))
+    spms = enumerate_spms(ctx)
+    assert pairs == [tuple(sorted(s)) for s in spms]
+    assert {type(p) for s in pairs for p in s} == {tuple}
+    assert {type(v) for s in pairs for p in s for v in p} == {int}
+    assert {type(e) for s in spms for e in s} == {Edge}
+
+
+@pytest.mark.parametrize("m", range(1, 8))
 def test_every_spm_edge_has_odd_order(m):
     ctx = PolygonContext(m)
     for s in enumerate_spms(ctx):

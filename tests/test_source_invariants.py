@@ -2,7 +2,8 @@
 
 No program logic rests on `assert`, `errors.check_cap` is the only place
 that raises ResourceLimitError, and `errors.check_min` is the only place
-that refuses m below a lower bound.
+that refuses m below a lower bound.  Outside `geometry.py` no code projects
+an edge to the pair `(e.a, e.b)`: an `Edge` is that pair already.
 """
 
 from __future__ import annotations
@@ -60,8 +61,20 @@ def _message_bounds_m(node: ast.Raise) -> bool:
                for part in ast.walk(node))
 
 
-def findings(source: str) -> list[str]:
-    """Every breach of the rules in one module's text, as `line: rule`."""
+def _is_edge_pair(node: ast.AST) -> bool:
+    """True for a tuple of exactly `X.a, X.b` on the same X, as a display
+    `(e.a, e.b)` or as a subscript `rank[e.a, e.b]`."""
+    if not (isinstance(node, ast.Tuple) and len(node.elts) == 2):
+        return False
+    first, second = node.elts
+    return (isinstance(first, ast.Attribute) and first.attr == "a"
+            and isinstance(second, ast.Attribute) and second.attr == "b"
+            and ast.dump(first.value) == ast.dump(second.value))
+
+
+def findings(source: str, module: str = "") -> list[str]:
+    """Every breach of the rules in one module's text, as `line: rule`;
+    `module` is the file name, since `geometry.py` defines the edge pair."""
     out = []
 
     def visit(node: ast.AST, function: str | None) -> None:
@@ -78,6 +91,8 @@ def findings(source: str) -> list[str]:
               and any(isinstance(s, ast.Raise) for s in node.body)
               and function != "check_min"):
             out.append(f"{node.lineno}: lower bound on m outside check_min")
+        elif _is_edge_pair(node) and module != "geometry.py":
+            out.append(f"{node.lineno}: edge projected to its pair")
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -87,7 +102,11 @@ def findings(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_package_source_keeps_the_rules(path):
-    assert findings(path.read_text(encoding="utf-8")) == []
+    assert findings(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_geometry_may_read_the_edge_pair():
+    assert findings("pair = (e.a, e.b)\n", "geometry.py") == []
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -112,8 +131,14 @@ def test_package_source_keeps_the_rules(path):
     ("def f(m, t):\n    if not 2 <= t <= m:\n        raise InputError('bad t')\n", []),
     ("def f(m_min, m_max):\n    if not 2 <= m_min <= m_max:\n"
      "        raise InputError('need 2 <= m_min <= m_max')\n", []),
+    ("key = (e.a, e.b)\n", ["1: edge projected to its pair"]),
+    ("i = rank[s.e.a, s.e.b]\n", ["1: edge projected to its pair"]),
+    ("key = (e.a + 1, e.b)\n", []),
+    ("key = (e.a, f.b)\n", []),
+    ("ok = e.a < f.a\n", []),
 ], ids=["assert", "resource-limit", "m-below", "bound-above-m", "negated",
         "message", "f-string", "check_cap", "check_min", "no-raise", "bound-on-t",
-        "other-name"])
+        "other-name", "pair-display", "pair-subscript", "shifted-pair",
+        "two-edges", "comparison"])
 def test_findings_name_each_breach(source, expected):
     assert findings(source) == expected
