@@ -196,6 +196,14 @@ def test_parse_refuses_a_spec_that_does_not_regenerate_the_set(monkeypatch):
         parse_blocker(ctx, FIGURE_BLOCKER)
 
 
+def test_parse_and_validate_reject_non_edge_members():
+    mixed = [(0, 1), Edge(1, 2), Edge(2, 3)]
+    with pytest.raises(InputError):
+        parse_blocker(PolygonContext(3), mixed)
+    with pytest.raises(InputError):
+        validate_caterpillar(PolygonContext(3), mixed)
+
+
 # Every entry that takes edges, called on a polygon and a member list.
 EDGE_ENTRIES = {
     "parse_blocker": parse_blocker,
