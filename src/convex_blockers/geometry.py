@@ -53,6 +53,8 @@ class Edge(namedtuple("_EdgePair", "a b")):
     __slots__ = ()
 
     def __new__(cls, a: int, b: int) -> "Edge":
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise InputError(f"non-integer vertex in [{a},{b}]")
         if a == b:
             raise InputError(f"degenerate edge [{a},{b}]")
         if a < 0 or b < 0:
@@ -85,6 +87,8 @@ class PolygonContext:
     m: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.m, int):
+            raise InputError(f"m must be an integer, got {self.m}")
         check_min(self.m, 1)
 
     @property

@@ -122,6 +122,13 @@ def test_edge_refusal_messages():
     # Degenerate is checked first, then negative.
     with pytest.raises(InputError, match=re.escape("degenerate edge [-1,-1]")):
         Edge(-1, -1)
+    with pytest.raises(InputError, match=re.escape("non-integer vertex in [1.5,3]")):
+        Edge(1.5, 3)
+    with pytest.raises(InputError, match=re.escape("non-integer vertex in [3,3.0]")):
+        Edge(3, 3.0)
+    # The type is checked before both others.
+    with pytest.raises(InputError, match=re.escape("non-integer vertex in [-1,-1.0]")):
+        Edge(-1, -1.0)
 
 
 def test_edge_replace_normalizes_and_checks():
@@ -142,6 +149,14 @@ def test_edge_at_refuses_out_of_range_index():
 def test_context_rejects_nonpositive_m():
     with pytest.raises(InputError):
         PolygonContext(0)
+
+
+# 0.5 is also below the bound: the type is checked first.
+@pytest.mark.parametrize("m, shown", [(2.5, "2.5"), (3.0, "3.0"), ("3", "3"),
+                                      (None, "None"), (0.5, "0.5")])
+def test_context_rejects_non_integer_m(m, shown):
+    with pytest.raises(InputError, match=re.escape(f"m must be an integer, got {shown}")):
+        PolygonContext(m)
 
 
 def test_context_counts():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from convex_blockers.oracle import (
     MODE_CLASS_PRUNED,
     MODE_NAIVE,
     SpmFamilyIndex,
+    _hitting_lookup,
     _search_class_pruned,
     _search_naive,
     build_family_index,
@@ -283,6 +285,39 @@ def _draw_restricted(data, m_min, m_max):
 def test_naive_search_equals_its_slow_twin_on_restricted_families(data):
     index = _draw_restricted(data, 2, 5)
     assert _search_naive(index) == _slow_search_naive(index)
+
+
+@pytest.mark.parametrize("k", range(1, 16))
+@pytest.mark.parametrize("spread", [False, True], ids=["first", "spread"])
+def test_naive_search_equals_its_slow_twin_on_small_families(k, spread):
+    # The first k matchings of m = 5 are blocked by one edge up to k = 14;
+    # k matchings spread over the family need two or three edges.
+    keep = [p * 42 // k for p in range(k)] if spread else range(k)
+    index = _restricted(_index(5), keep)
+    assert _search_naive(index) == _slow_search_naive(index)
+
+
+def _hitting_by_definition(index, need):
+    """The edges in every matching of `need`: all edges for the empty mask."""
+    out = (1 << index.ctx.edge_count) - 1
+    for p in range(index.spm_count):
+        if need >> p & 1:
+            out &= index.spms[p]
+    return out
+
+
+# Three tables of ceil(C/3) matchings each: the counts straddle every
+# chunk boundary, from the empty family up to all 42 matchings of m = 5.
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 13, 14, 15, 41, 42])
+def test_hitting_lookup_equals_the_definition(count):
+    index = _restricted(_index(5), range(count))
+    hitting = _hitting_lookup(index)
+    rng = random.Random(count)
+    needs = [0, index.full_cover]
+    needs += [rng.getrandbits(count) for _ in range(200)]
+    needs += [1 << p for p in range(count)]
+    for need in needs:
+        assert hitting(need) == _hitting_by_definition(index, need), need
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,8 @@
 No program logic rests on `assert`, `errors.check_cap` is the only place
 that raises ResourceLimitError, and `errors.check_min` is the only place
 that refuses m below a lower bound.  Outside `geometry.py` no code projects
-an edge to the pair `(e.a, e.b)`: an `Edge` is that pair already.
+an edge to the pair `(e.a, e.b)`: an `Edge` is that pair already.  Only
+`cli._max_m` reads the environment, so no other knob can enter through it.
 """
 
 from __future__ import annotations
@@ -72,6 +73,16 @@ def _is_edge_pair(node: ast.AST) -> bool:
             and ast.dump(first.value) == ast.dump(second.value))
 
 
+def _reads_environment(node: ast.AST) -> bool:
+    """True for `os.environ` or `os.getenv`, called, subscripted or bare,
+    and for importing either name from `os`."""
+    names = ("environ", "getenv")
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(a.name in names for a in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
 def findings(source: str, module: str = "") -> list[str]:
     """Every breach of the rules in one module's text, as `line: rule`;
     `module` is the file name, since `geometry.py` defines the edge pair."""
@@ -93,6 +104,9 @@ def findings(source: str, module: str = "") -> list[str]:
             out.append(f"{node.lineno}: lower bound on m outside check_min")
         elif _is_edge_pair(node) and module != "geometry.py":
             out.append(f"{node.lineno}: edge projected to its pair")
+        elif (_reads_environment(node)
+              and (module, function) != ("cli.py", "_max_m")):
+            out.append(f"{node.lineno}: environment read outside cli._max_m")
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -107,6 +121,16 @@ def test_package_source_keeps_the_rules(path):
 
 def test_geometry_may_read_the_edge_pair():
     assert findings("pair = (e.a, e.b)\n", "geometry.py") == []
+
+
+MAX_M_BODY = ("def _max_m() -> int:\n"
+              "    raw = os.environ.get(ENV_MAX_M, str(DEFAULT_MAX_M))\n")
+
+
+def test_cli_max_m_may_read_the_environment():
+    assert findings(MAX_M_BODY, "cli.py") == []
+    assert findings(MAX_M_BODY, "oracle.py") == [
+        "2: environment read outside cli._max_m"]
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -136,9 +160,20 @@ def test_geometry_may_read_the_edge_pair():
     ("key = (e.a + 1, e.b)\n", []),
     ("key = (e.a, f.b)\n", []),
     ("ok = e.a < f.a\n", []),
+    ("def f():\n    return os.environ.get('X')\n",
+     ["2: environment read outside cli._max_m"]),
+    ("def f():\n    return os.getenv('X')\n",
+     ["2: environment read outside cli._max_m"]),
+    ("def f():\n    return os.environ['X']\n",
+     ["2: environment read outside cli._max_m"]),
+    ("limit = os.getenv('X')\n", ["1: environment read outside cli._max_m"]),
+    ("def f(ctx):\n    return ctx.environ\n", []),
+    ("from os import environ\n", ["1: environment read outside cli._max_m"]),
+    ("from os import path\n", []),
 ], ids=["assert", "resource-limit", "m-below", "bound-above-m", "negated",
         "message", "f-string", "check_cap", "check_min", "no-raise", "bound-on-t",
         "other-name", "pair-display", "pair-subscript", "shifted-pair",
-        "two-edges", "comparison"])
+        "two-edges", "comparison", "environ-get", "getenv", "environ-item",
+        "module-level", "other-environ", "import-environ", "import-path"])
 def test_findings_name_each_breach(source, expected):
     assert findings(source) == expected
