@@ -239,6 +239,27 @@ def test_oracle_stdout_is_pinned(capsys, mode, m, digest):
     assert hashlib.sha256(stripped.encode()).hexdigest() == digest
 
 
+# SHA-256 of the naive `oracle` stdout with both "nodes" and "millis" cut
+# out, recorded before the naive search became a search tree: the minimum
+# size, the sets and their order stay byte-identical whatever `nodes` counts.
+ORACLE_SET_DIGESTS = [
+    (1, "3741cb384c7de6f9c31ea0e6d0e6c707cab9ce6a766d0a21c7bccf8e9361ad43"),
+    (2, "ad6cdfcbbc909825e881d92ef6b75ea0b989983cb7de02632273dfec53f92eac"),
+    (3, "a8447572c12a2f4259c459f012509cad6cad11d876b26344bc900539e282b678"),
+    (4, "1b2cbf9fef44e8d8bf8149a81db610a66174be5511519d6d69f8ed2eb935228b"),
+    (5, "89758bce69df83625fce65e257137d77ace83e759b5df690df216045231d5f4b"),
+]
+
+
+@pytest.mark.parametrize("m,digest", ORACLE_SET_DIGESTS)
+def test_naive_oracle_sets_are_pinned(capsys, m, digest):
+    status, out, err = run(capsys, "oracle", "--m", str(m), "--mode", "naive")
+    assert (status, err) == (0, "")
+    stripped, cut = re.subn(r',"(nodes|millis)":[0-9.]+', "", out)
+    assert cut == 2
+    assert hashlib.sha256(stripped.encode()).hexdigest() == digest
+
+
 # SHA-256 digests of more outputs, recorded before every bound on m moved
 # behind `errors`: `verify` stdout with "durations_ms" cut out, `blocker
 # enumerate` in both formats, and `blocker check` over a fixed corpus.
