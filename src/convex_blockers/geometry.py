@@ -240,7 +240,13 @@ def edges_from_text(text: str) -> frozenset[Edge]:
     items = [p for p in text.strip().split(",") if p]
     if not items:
         raise InputError("empty edge list")
-    return frozenset(edge_from_text(p) for p in items)
+    edges: set[Edge] = set()
+    for p in items:
+        e = edge_from_text(p)
+        if e in edges:
+            raise InputError(f"repeated edge {p.strip()}")
+        edges.add(e)
+    return frozenset(edges)
 
 
 def edges_to_lists(edges: Iterable[Edge]) -> list[list[int]]:

@@ -10,16 +10,17 @@ Both searches run on complement masks built once before the walk: per edge,
 the matchings that avoid it, and in the pruned mode, per depth, the
 matchings that no remaining class can hit.  Adding an edge to a partial
 set is then one AND on the mask of the matchings still unhit, and the
-pruning bound is one more.  The naive search finds a prefix's last edges
-without a scan: three subset tables, each over a third of the family, give
-the edges that hit every matching still unhit in two ANDs.
+pruning bound is one more.  The naive search is the bounded search tree
+for hitting set: every blocking set holds an edge of the lowest matching
+still unhit, so it branches on those edges, for the budgets 0, 1, ... in
+turn until one admits a blocking set.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import InputError, check_cap
 from .geometry import Edge, PolygonContext, edges_to_lists, parallel_class
@@ -138,9 +139,11 @@ def find_minimum_blockers(index: SpmFamilyIndex, mode: str = MODE_CLASS_PRUNED, 
                           pruned_cap: int = DEFAULT_PRUNED_CAP) -> OracleResult:
     """Search for all minimum blocking sets, sorted by their edge lists.
 
-    naive        -- exhaustively test every edge subset of size 1, 2, ...
-                    until some size admits a blocking set, then collect all
-                    blocking sets of that size.
+    naive        -- for the budgets 0, 1, ... in turn, branch on the edges
+                    of the lowest matching still unhit, each edge forbidden
+                    to the later siblings of its branch, until some budget
+                    admits a blocking set; every blocking set of that size
+                    is found once.
     class_pruned -- pick one edge from each odd parallel class by
                     depth-first search, abandoning branches that can no
                     longer hit every matching.  Complete for minimum
@@ -149,10 +152,9 @@ def find_minimum_blockers(index: SpmFamilyIndex, mode: str = MODE_CLASS_PRUNED, 
                     exactly one edge of each odd class; the minimum size is
                     m by the same disjointness.
 
-    `nodes` counts the search effort.  For naive it is every subset tested,
-    summed over the sizes 1..minimum, even though the last edge of each
-    subset comes from one lookup of the edges that hit every unhit matching;
-    for class_pruned it is every DFS call, the pruned ones included.
+    `nodes` counts the search effort.  For naive it is every search-tree
+    call, summed over the budgets 0..minimum; for class_pruned it is every
+    DFS call, the pruned ones included.
     `check_search_cap` refuses m first.
     """
     check_search_cap(index.ctx.m, mode, pruned_cap=pruned_cap)
@@ -166,79 +168,35 @@ def find_minimum_blockers(index: SpmFamilyIndex, mode: str = MODE_CLASS_PRUNED, 
                         nodes, millis)
 
 
-def _hitting_lookup(index: SpmFamilyIndex) -> Callable[[int], int]:
-    """A function from a mask of matchings to the mask of the edges that hit
-    every one of them (all edges for the empty mask), answered by three
-    subset-AND tables over thirds of the family.  The tables hold at most
-    3 * 2^ceil(C/3) ints for C matchings, 3 * 2^14 under the naive cap."""
-    t0, t1, t2, w = _hitting_tables(index)
-    mask = (1 << w) - 1
-
-    def hitting(need: int) -> int:
-        return t0[need & mask] & t1[need >> w & mask] & t2[need >> 2 * w]
-
-    return hitting
-
-
-def _hitting_tables(index: SpmFamilyIndex
-                    ) -> tuple[list[int], list[int], list[int], int]:
-    # Table k maps each subset x of the matchings kw..kw+w-1 to the AND of
-    # their edge masks; doubling appends the subsets that hold one more.
-    spms = index.spms
-    w = max(1, -(-len(spms) // 3))
-    tables = []
-    for k in range(3):
-        t = [(1 << index.ctx.edge_count) - 1]
-        for bits in spms[k * w:(k + 1) * w]:
-            t += [v & bits for v in t]
-        tables.append(t)
-    return tables[0], tables[1], tables[2], w
-
-
 def _search_naive(index: SpmFamilyIndex) -> tuple[int, list[frozenset[Edge]], int]:
     ctx = index.ctx
+    spms = index.spms
     full = index.full_cover
     comp = [full & ~h for h in index.per_edge_hits]
-    n = len(comp)
-    # The walk inlines the lookup of `_hitting_lookup`: no call per prefix.
-    t0, t1, t2, w = _hitting_tables(index)
-    mask, w2 = (1 << w) - 1, 2 * w
     found: list[frozenset[Edge]] = []
-    prefix = []
+    chosen: list[int] = []
     nodes = 0
 
-    def emit(last: int, offset: int) -> None:
-        # last: the edges, shifted down by offset, that complete the prefix
-        for j in _positions(last):
-            found.append(frozenset(map(ctx.edge_at, prefix + [offset + j])))
-
-    def walk(start: int, need: int, depth: int) -> None:
-        # need: the matchings the prefix leaves unhit; depth: edges still
-        # to choose, ascending from start.  The last edge comes from the
-        # tables: the edges that hit every matching in need.
+    def walk(need: int, budget: int, allowed: int) -> None:
+        # need: the matchings the chosen edges leave unhit; budget: edges
+        # still to choose.  Every blocking set holds an edge of the lowest
+        # unhit matching, so branch on those edges; once a branch on edge i
+        # is done, later siblings may not take i, so each set is found once.
         nonlocal nodes
-        if depth == 1:
-            nodes += n - start
-            emit((t0[need & mask] & t1[need >> w & mask] & t2[need >> w2]) >> start,
-                 start)
+        nodes += 1
+        if not need:
+            found.append(frozenset(map(ctx.edge_at, chosen)))
             return
-        if depth == 2:
-            nodes += (n - start) * (n - start - 1) // 2
-            for i in range(start, n - 1):
-                x = need & comp[i]
-                last = (t0[x & mask] & t1[x >> w & mask] & t2[x >> w2]) >> (i + 1)
-                if last:
-                    prefix.append(i)
-                    emit(last, i + 1)
-                    prefix.pop()
+        if not budget:
             return
-        for i in range(start, n - depth + 1):
-            prefix.append(i)
-            walk(i + 1, need & comp[i], depth - 1)
-            prefix.pop()
+        for i in _positions(spms[(need & -need).bit_length() - 1] & allowed):
+            chosen.append(i)
+            walk(need & comp[i], budget - 1, allowed)
+            chosen.pop()
+            allowed &= ~(1 << i)
 
-    for size in range(1, ctx.m + 1):
-        walk(0, full, size)
+    for size in range(ctx.m + 1):
+        walk(full, size, (1 << ctx.edge_count) - 1)
         if found:
             break
     return size, found, nodes

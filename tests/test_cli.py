@@ -188,6 +188,13 @@ def test_blocker_check_wrong_cardinality_is_domain_error(capsys):
     assert "error:" in err
 
 
+def test_blocker_check_repeated_edge_is_domain_error(capsys):
+    # Folded into a set, the three items would pass as a two-edge blocker.
+    status, out, err = run(capsys, "blocker", "check", "--m", "2",
+                           "--edges", "0-1,1-0,1-2")
+    assert (status, out, err) == (1, "", "error: repeated edge 1-0\n")
+
+
 # ---------------------------------------------------------------------------
 # oracle and verify
 # ---------------------------------------------------------------------------
@@ -210,15 +217,16 @@ def test_oracle_pruned(capsys):
     assert payload["count"] == 32
 
 
-# SHA-256 of the `oracle` stdout with its "millis" field cut out, recorded
-# before the searches moved to complement masks.  The sets, their
-# order and the node counts of both modes stay byte-identical.
+# SHA-256 of the `oracle` stdout with its "millis" field cut out.  The
+# pruned digests were recorded before the searches moved to complement
+# masks; the naive ones were re-pinned when its `nodes` became search-tree
+# calls, and `ORACLE_SET_DIGESTS` below keeps its sets on the older bytes.
 ORACLE_DIGESTS = [
-    ("naive", 1, "5c8b143d830553882eca133b2359df6b2245f06135565675e0728da272f51f1b"),
-    ("naive", 2, "a4aca0ce75bf547ac981247645ffe0ce7b9a883936a95618bcf1ef075d9f80d7"),
-    ("naive", 3, "08eabf363f2121b1df4a503b07a8fea26ff0b2d1d83874aa903b0e39acf3cd00"),
-    ("naive", 4, "4e4674bc6980e1b2652eab46572ff6656a9b4c0c26c59f6e48b9c7be57c312b0"),
-    ("naive", 5, "b452df6bd2e6509321c3c96b95afcedadb7e6e8f0913a8f5deb64202998025e2"),
+    ("naive", 1, "bddb92baabf6bdf531300e3010fa7e06c68405280217b7041cb1045293e9604a"),
+    ("naive", 2, "c20258b6b612994f2d4973f007ccef2b73ad359c9a88529e0f4ff4d5bfca7b51"),
+    ("naive", 3, "19170fe9f8496a712dbf9a353eba6197f2879bfe5c16381ba96f870e61f4016f"),
+    ("naive", 4, "3ee676d758734fa1924290d43061116001d5b4381bf9a6ac8c2993d29afe5403"),
+    ("naive", 5, "15283b6b2c40ec5fca0ad8dc7c86a5d50b775ff1e4547bb3f9dcf797c2d7f76c"),
     ("pruned", 1, "7a9c470a13f9ea8209f7ac572d8a17776bac5ec325f84929f28657847aea4e5f"),
     ("pruned", 2, "96364d2e1919d4eadc48ee623805beed4976fc673cca7f7a5dcbe740f98ece79"),
     ("pruned", 3, "1c3bd16aa6c38aed892b8e80e8b4bd75335e74c066a2922049a7e3ccec051ea6"),
@@ -443,6 +451,14 @@ def test_render_bad_blocker_spec(tmp_path, capsys):
                          "--out", str(tmp_path / "x.svg"))
     assert status == 1
     assert "error:" in err
+
+
+def test_render_repeated_edge_is_domain_error(tmp_path, capsys):
+    target = tmp_path / "x.svg"
+    status, out, err = run(capsys, "render", "--m", "2", "--edges", "0-1,0-1",
+                           "--out", str(target))
+    assert (status, out, err) == (1, "", "error: repeated edge 0-1\n")
+    assert not target.exists()
 
 
 def test_render_to_a_missing_directory_is_domain_error(tmp_path, capsys):

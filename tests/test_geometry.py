@@ -332,3 +332,8 @@ def test_edge_text_rejects_malformed():
         edge_from_text("a-b")
     with pytest.raises(InputError):
         edges_from_text("")
+    # a repeated edge is named as first written again, not folded away
+    with pytest.raises(InputError, match="^repeated edge 1-0$"):
+        edges_from_text("0-1,1-0,1-2")
+    with pytest.raises(InputError, match="^repeated edge 0-1$"):
+        edges_from_text("0-1, 0-1")

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +16,6 @@ from convex_blockers.oracle import (
     MODE_CLASS_PRUNED,
     MODE_NAIVE,
     SpmFamilyIndex,
-    _hitting_lookup,
     _search_class_pruned,
     _search_naive,
     build_family_index,
@@ -116,8 +114,9 @@ def test_naive_m2():
     assert result.minimum_size == 2
     assert set(result.minimum_sets) == {
         edges("0-1,1-2"), edges("1-2,2-3"), edges("2-3,3-0"), edges("3-0,0-1")}
-    # all 6 singletons plus all 15 pairs were tested
-    assert result.nodes == 21
+    # search-tree calls per budget: 1 at budget 0, then the root and the
+    # two edges of the lowest matching at budget 1, then 7 at budget 2
+    assert result.nodes == 1 + 3 + 7
 
 
 def test_naive_m3_rules_out_size_two():
@@ -187,7 +186,7 @@ def test_report_json_shape():
 # the nodes contract, and the searches against their slow twins
 # ---------------------------------------------------------------------------
 
-NAIVE_NODES = {1: 1, 2: 21, 3: 575, 4: 24157, 5: 1385979}
+NAIVE_NODES = {1: 3, 2: 11, 3: 46, 4: 207, 5: 984}
 PRUNED_NODES = {1: 2, 2: 7, 3: 40, 4: 197, 5: 801, 6: 2887, 7: 9584, 8: 30057}
 
 
@@ -197,7 +196,7 @@ def _index(m: int) -> SpmFamilyIndex:
 
 
 @pytest.mark.parametrize("m,nodes", NAIVE_NODES.items())
-def test_naive_nodes_count_every_subset_tested(m, nodes):
+def test_naive_nodes_count_every_search_tree_call(m, nodes):
     assert find_minimum_blockers(_index(m), MODE_NAIVE).nodes == nodes
 
 
@@ -212,7 +211,7 @@ def _slow_search_naive(index):
     hits = index.per_edge_hits
     full = index.full_cover
     nodes = 0
-    for size in range(1, ctx.m + 1):
+    for size in range(ctx.m + 1):
         found = []
         for combo in itertools.combinations(range(ctx.edge_count), size):
             nodes += 1
@@ -280,11 +279,19 @@ def _draw_restricted(data, m_min, m_max):
     return _restricted(index, [p for p, drop in enumerate(dropped) if not drop])
 
 
+def _assert_naive_twins_agree(index):
+    # The two searches count different things as nodes and find the sets
+    # in different orders, so compare the size and the sets.
+    size, found, _nodes = _search_naive(index)
+    slow_size, slow_found, _slow_nodes = _slow_search_naive(index)
+    assert len(found) == len(set(found))
+    assert (size, set(found)) == (slow_size, set(slow_found))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_naive_search_equals_its_slow_twin_on_restricted_families(data):
-    index = _draw_restricted(data, 2, 5)
-    assert _search_naive(index) == _slow_search_naive(index)
+    _assert_naive_twins_agree(_draw_restricted(data, 2, 5))
 
 
 @pytest.mark.parametrize("k", range(1, 16))
@@ -293,31 +300,16 @@ def test_naive_search_equals_its_slow_twin_on_small_families(k, spread):
     # The first k matchings of m = 5 are blocked by one edge up to k = 14;
     # k matchings spread over the family need two or three edges.
     keep = [p * 42 // k for p in range(k)] if spread else range(k)
-    index = _restricted(_index(5), keep)
-    assert _search_naive(index) == _slow_search_naive(index)
+    _assert_naive_twins_agree(_restricted(_index(5), keep))
 
 
-def _hitting_by_definition(index, need):
-    """The edges in every matching of `need`: all edges for the empty mask."""
-    out = (1 << index.ctx.edge_count) - 1
-    for p in range(index.spm_count):
-        if need >> p & 1:
-            out &= index.spms[p]
-    return out
-
-
-# Three tables of ceil(C/3) matchings each: the counts straddle every
-# chunk boundary, from the empty family up to all 42 matchings of m = 5.
-@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 13, 14, 15, 41, 42])
-def test_hitting_lookup_equals_the_definition(count):
-    index = _restricted(_index(5), range(count))
-    hitting = _hitting_lookup(index)
-    rng = random.Random(count)
-    needs = [0, index.full_cover]
-    needs += [rng.getrandbits(count) for _ in range(200)]
-    needs += [1 << p for p in range(count)]
-    for need in needs:
-        assert hitting(need) == _hitting_by_definition(index, need), need
+@pytest.mark.parametrize("m", [6, 7])
+def test_naive_search_finds_every_blocker_once_beyond_the_cap(m):
+    ctx = PolygonContext(m)
+    size, found, _nodes = _search_naive(_index(m))
+    assert size == m
+    assert len(found) == len(set(found))
+    assert set(found) == set(enumerate_blockers(ctx))
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,11 +321,12 @@ def test_pruned_search_equals_its_slow_twin_on_restricted_families(data):
 
 @pytest.mark.parametrize("m", range(1, 5))
 def test_empty_family_is_blocked_by_every_singleton(m):
+    # Every edge set blocks the empty family, the empty set included, so
+    # the naive search stops at budget 0 with one node.
     index = _restricted(_index(m), ())
-    size, sets, nodes = _search_naive(index)
-    assert (size, nodes) == (1, index.ctx.edge_count)
-    assert sets == [frozenset([e]) for e in index.ctx.edges()]
-    assert (size, sets, nodes) == _slow_search_naive(index)
+    assert all(is_blocking_set(index, [e]) for e in index.ctx.edges())
+    assert _search_naive(index) == (0, [frozenset()], 1)
+    _assert_naive_twins_agree(index)
     assert _search_class_pruned(index) == _slow_search_class_pruned(index)
 
 

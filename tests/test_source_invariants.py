@@ -5,6 +5,8 @@ that raises ResourceLimitError, and `errors.check_min` is the only place
 that refuses m below a lower bound.  Outside `geometry.py` no code projects
 an edge to the pair `(e.a, e.b)`: an `Edge` is that pair already.  Only
 `cli._max_m` reads the environment, so no other knob can enter through it.
+The naive search in `oracle.py` names no parallel-class fact and not the
+pruned search, so it stays a witness from the blocking definition alone.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import convex_blockers
 
 SOURCES = sorted(Path(convex_blockers.__file__).parent.glob("*.py"))
 LOWER_BOUND_TEXT = re.compile(r"\bm (must be )?>= ")
+CLASS_FACTS = ("parallel_class", "edge_class", "are_parallel", "_search_class_pruned")
 
 
 def _is_m(node: ast.AST) -> bool:
@@ -83,14 +86,21 @@ def _reads_environment(node: ast.AST) -> bool:
             and isinstance(node.value, ast.Name) and node.value.id == "os")
 
 
+def _names_class_fact(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id in CLASS_FACTS
+            or isinstance(node, ast.Attribute) and node.attr in CLASS_FACTS)
+
+
 def findings(source: str, module: str = "") -> list[str]:
     """Every breach of the rules in one module's text, as `line: rule`;
-    `module` is the file name, since `geometry.py` defines the edge pair."""
+    `module` is the file name, since `geometry.py` defines the edge pair.
+    `function` is the innermost enclosing function, `top` the outermost."""
     out = []
 
-    def visit(node: ast.AST, function: str | None) -> None:
+    def visit(node: ast.AST, function: str | None, top: str | None) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
+            top = top or node.name
         if isinstance(node, ast.Assert):
             out.append(f"{node.lineno}: assert statement")
         elif isinstance(node, ast.Raise) and node.exc is not None:
@@ -107,10 +117,13 @@ def findings(source: str, module: str = "") -> list[str]:
         elif (_reads_environment(node)
               and (module, function) != ("cli.py", "_max_m")):
             out.append(f"{node.lineno}: environment read outside cli._max_m")
+        elif (_names_class_fact(node)
+              and (module, top) == ("oracle.py", "_search_naive")):
+            out.append(f"{node.lineno}: parallel-class fact in the naive search")
         for child in ast.iter_child_nodes(node):
-            visit(child, function)
+            visit(child, function, top)
 
-    visit(ast.parse(source), None)
+    visit(ast.parse(source), None, None)
     return out
 
 
@@ -131,6 +144,30 @@ def test_cli_max_m_may_read_the_environment():
     assert findings(MAX_M_BODY, "cli.py") == []
     assert findings(MAX_M_BODY, "oracle.py") == [
         "2: environment read outside cli._max_m"]
+
+
+def _naive_body(name: str, use: str) -> str:
+    return (f"def {name}(index):\n"
+            "    def walk(i):\n"
+            f"        return {use}\n")
+
+
+@pytest.mark.parametrize("source, expected", [
+    (_naive_body("_search_naive", "parallel_class(ctx, i)"),
+     ["3: parallel-class fact in the naive search"]),
+    (_naive_body("_search_naive", "geometry.are_parallel(ctx, e, f)"),
+     ["3: parallel-class fact in the naive search"]),
+    (_naive_body("_search_naive", "_search_class_pruned(index)"),
+     ["3: parallel-class fact in the naive search"]),
+    ("def _search_naive(index):\n    return edge_class(ctx, e)\n",
+     ["2: parallel-class fact in the naive search"]),
+    (_naive_body("_search_class_pruned", "parallel_class(ctx, i)"), []),
+    (_naive_body("_search_naive", "comp[i]"), []),
+], ids=["nested", "attribute", "pruned-search", "direct", "in-pruned-search",
+        "definition-only"])
+def test_naive_search_names_no_class_fact(source, expected):
+    assert findings(source, "oracle.py") == expected
+    assert findings(source, "blockers.py") == []
 
 
 @pytest.mark.parametrize("source, expected", [
