@@ -268,6 +268,30 @@ def test_naive_oracle_sets_are_pinned(capsys, m, digest):
     assert hashlib.sha256(stripped.encode()).hexdigest() == digest
 
 
+# The same cut of the pruned `oracle` stdout, recorded before the pruned
+# search's class order may change, so its sets and their order stay pinned
+# to these bytes whatever `nodes` counts.
+PRUNED_SET_DIGESTS = [
+    (1, "c02a75c1e47da3cb7c8696e6f51af006f578a4faadd1ae6945896b923d96fe84"),
+    (2, "514e35826643871af9635976d2dad44f58e878b6c9bab2a3c6d710546738409a"),
+    (3, "47bd7b7dd59b86a4ffdc0e67e95c09b6d4ebc37386247830a14df36152e1a767"),
+    (4, "a7c349e9a4abc952d637c500e93f84354495880078b6c7765d874ea1232f9625"),
+    (5, "25902b0afa1a3233d7a412d52d9b405d29d013124db73b8d66274daf7a9d32d3"),
+    (6, "3023aab01f1e1bb416dbb68506eb6532360c627958a9bd68ad651687b356ec54"),
+    (7, "731a461d17b5b9dd2c1e57b421e673d3afc8615152639959841e1a8b064ded85"),
+    (8, "40e5f0056e9ecbdd4bc22bf324c769cf499ed7d4500878f82ff6709d473be91d"),
+]
+
+
+@pytest.mark.parametrize("m,digest", PRUNED_SET_DIGESTS)
+def test_pruned_oracle_sets_are_pinned(capsys, m, digest):
+    status, out, err = run(capsys, "oracle", "--m", str(m), "--mode", "pruned")
+    assert (status, err) == (0, "")
+    stripped, cut = re.subn(r',"(nodes|millis)":[0-9.]+', "", out)
+    assert cut == 2
+    assert hashlib.sha256(stripped.encode()).hexdigest() == digest
+
+
 # SHA-256 digests of more outputs, recorded before every bound on m moved
 # behind `errors`: `verify` stdout with "durations_ms" cut out, `blocker
 # enumerate` in both formats, and `blocker check` over a fixed corpus.
