@@ -31,7 +31,6 @@ from .geometry import (
     boundary_position,
     edge_to_text,
     edges_to_lists,
-    is_boundary_edge,
 )
 
 __all__ = [
@@ -296,24 +295,19 @@ def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolati
 
 
 def _is_tree(edges: frozenset[Edge]) -> bool:
-    """Connected and acyclic on the vertices the edges touch."""
-    if not edges:
-        return False
-    adjacency: dict[int, list[int]] = {}
-    for e in edges:
-        adjacency.setdefault(e.a, []).append(e.b)
-        adjacency.setdefault(e.b, []).append(e.a)
-    if len(edges) != len(adjacency) - 1:
-        return False
-    seen = set()
-    stack = [next(iter(adjacency))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adjacency[v])
-    return len(seen) == len(adjacency)
+    """Connected and acyclic on the vertices the edges touch, by one
+    union-find pass: an edge whose endpoints share a root closes a cycle,
+    and a forest is one tree when it has one vertex more than edges."""
+    parent: dict[int, int] = {}
+    for a, b in edges:
+        while parent.setdefault(a, a) != a:
+            a = parent[a]
+        while parent.setdefault(b, b) != b:
+            b = parent[b]
+        if a == b:
+            return False
+        parent[a] = b
+    return len(parent) == len(edges) + 1
 
 
 def validate_caterpillar(ctx: PolygonContext, edges) -> CaterpillarReport:
@@ -348,11 +342,8 @@ def restrict_blocker(ctx: PolygonContext, edges, e: Edge, f: Edge
     """
     check_min(ctx.m, 2)
     edges = frozenset(edges)
-    if not is_boundary_edge(ctx, e) or not is_boundary_edge(ctx, f):
-        raise InputError("e and f must be boundary edges")
     pe = boundary_position(ctx, e)
-    pf = boundary_position(ctx, f)
-    if pf != (pe + 1) % ctx.n:
+    if boundary_position(ctx, f) != (pe + 1) % ctx.n:
         raise InputError(
             f"{edge_to_text(f)} is not the boundary edge immediately after "
             f"{edge_to_text(e)}")
@@ -396,12 +387,7 @@ def classify_boundary_set(ctx: PolygonContext, boundary_edges) -> set[BoundaryCa
     edges = sorted(set(boundary_edges))
     if not edges:
         raise InputError("boundary edge set must be nonempty")
-    pos = []
-    for e in edges:
-        if not is_boundary_edge(ctx, e):
-            raise InputError(f"{edge_to_text(e)} is not a boundary edge")
-        pos.append(boundary_position(ctx, e))
-    pos.sort()
+    pos = sorted(boundary_position(ctx, e) for e in edges)
     m, k = ctx.m, len(pos)
     cases: set[BoundaryCase] = set()
     if any(pos[v] == pos[u] + m for u in range(k) for v in range(u + 1, k)):

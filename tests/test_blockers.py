@@ -393,6 +393,50 @@ def test_scan_agrees_with_the_validated_predicates(case):
     assert all((p + 1) % ctx.n == q for p, q in zip(positions, positions[1:]))
 
 
+def _slow_is_tree(edges) -> bool:
+    """The adjacency walk `_is_tree` replaced: count the touched vertices,
+    then walk from one of them and require every vertex seen."""
+    if not edges:
+        return False
+    adjacency: dict[int, list[int]] = {}
+    for e in edges:
+        adjacency.setdefault(e.a, []).append(e.b)
+        adjacency.setdefault(e.b, []).append(e.a)
+    if len(edges) != len(adjacency) - 1:
+        return False
+    seen = set()
+    stack = [next(iter(adjacency))]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        stack.extend(adjacency[v])
+    return len(seen) == len(adjacency)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("", False),
+    ("0-1", True),
+    ("0-1,1-2,2-3", True),
+    ("0-1,0-3,0-5", True),
+    ("0-1,1-2,0-2", False),
+    ("0-1,1-2,2-3,0-3", False),
+    ("0-1,2-3", False),
+    ("0-1,1-2,1-4,3-5", False),
+], ids=["empty", "one-edge", "path", "star", "triangle", "4-cycle",
+        "two-disjoint", "tree-plus-edge"])
+def test_is_tree_fixed_cases(text, expected):
+    edge_set = edges(text) if text else frozenset()
+    assert blockers._is_tree(edge_set) == _slow_is_tree(edge_set) == expected
+
+
+@given(st.integers(1, 7).flatmap(
+    lambda m: st.sets(st.sampled_from(list(PolygonContext(m).edges())))))
+def test_is_tree_agrees_with_the_walk(chosen):
+    assert blockers._is_tree(frozenset(chosen)) == _slow_is_tree(chosen)
+
+
 # ---------------------------------------------------------------------------
 # restriction
 # ---------------------------------------------------------------------------
@@ -484,6 +528,18 @@ def test_classify_input_errors():
         classify_boundary_set(ctx, [])
     with pytest.raises(InputError):
         classify_boundary_set(ctx, edges("0-2"))
+
+
+def test_boundary_checks_name_the_edge():
+    ctx = PolygonContext(3)
+    message = "^1-4 is not a boundary edge$"
+    with pytest.raises(InputError, match=message):
+        classify_boundary_set(ctx, [Edge(1, 4)])
+    blocker = edges("0-1,1-2,1-4")
+    with pytest.raises(InputError, match=message):
+        restrict_blocker(ctx, blocker, Edge(1, 4), Edge(2, 3))
+    with pytest.raises(InputError, match=message):
+        restrict_blocker(ctx, blocker, Edge(0, 1), Edge(1, 4))
 
 
 @pytest.mark.parametrize("m", range(2, 5))

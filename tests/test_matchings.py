@@ -69,6 +69,8 @@ def test_catalan_number_matches_recurrence_and_frozen_values():
     for n, expected in enumerate(CATALAN):
         assert _catalan_by_recurrence(n) == expected
         assert catalan_number(n) == expected
+    for n in range(41):
+        assert catalan_number(n) == _catalan_by_recurrence(n)
     with pytest.raises(InputError):
         catalan_number(-1)
 

@@ -7,6 +7,8 @@ an edge to the pair `(e.a, e.b)`: an `Edge` is that pair already.  Only
 `cli._max_m` reads the environment, so no other knob can enter through it.
 The naive search in `oracle.py` names no parallel-class fact and not the
 pruned search, so it stays a witness from the blocking definition alone.
+In the same way the tree test and the structural scan in `blockers.py`
+name neither other, and the Catalan count names no enumerator.
 """
 
 from __future__ import annotations
@@ -21,7 +23,19 @@ import convex_blockers
 
 SOURCES = sorted(Path(convex_blockers.__file__).parent.glob("*.py"))
 LOWER_BOUND_TEXT = re.compile(r"\bm (must be )?>= ")
-CLASS_FACTS = ("parallel_class", "edge_class", "are_parallel", "_search_class_pruned")
+# (module, top-level function, names it may not use, rule): each witness
+# stays independent of the code it cross-checks.
+WITNESS_RULES = [
+    ("oracle.py", "_search_naive",
+     ("parallel_class", "edge_class", "are_parallel", "_search_class_pruned"),
+     "parallel-class fact in the naive search"),
+    ("blockers.py", "_is_tree", ("_scan", "_boundary_runs"),
+     "structural scan in the tree test"),
+    ("blockers.py", "_scan", ("_is_tree",), "tree test in the structural scan"),
+    ("matchings.py", "catalan_number",
+     ("_pair_matchings", "spm_pairs", "enumerate_spms", "first_avoiding_spm"),
+     "enumerator in the Catalan count"),
+]
 
 
 def _is_m(node: ast.AST) -> bool:
@@ -86,9 +100,17 @@ def _reads_environment(node: ast.AST) -> bool:
             and isinstance(node.value, ast.Name) and node.value.id == "os")
 
 
-def _names_class_fact(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Name) and node.id in CLASS_FACTS
-            or isinstance(node, ast.Attribute) and node.attr in CLASS_FACTS)
+def _witness_rule(node: ast.AST, module: str, top: str | None) -> str | None:
+    """The rule a name breaks inside `top`, the outermost function."""
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    else:
+        return None
+    return next((rule for rule_module, function, names, rule in WITNESS_RULES
+                 if (module, top) == (rule_module, function) and name in names),
+                None)
 
 
 def findings(source: str, module: str = "") -> list[str]:
@@ -117,9 +139,8 @@ def findings(source: str, module: str = "") -> list[str]:
         elif (_reads_environment(node)
               and (module, function) != ("cli.py", "_max_m")):
             out.append(f"{node.lineno}: environment read outside cli._max_m")
-        elif (_names_class_fact(node)
-              and (module, top) == ("oracle.py", "_search_naive")):
-            out.append(f"{node.lineno}: parallel-class fact in the naive search")
+        elif rule := _witness_rule(node, module, top):
+            out.append(f"{node.lineno}: {rule}")
         for child in ast.iter_child_nodes(node):
             visit(child, function, top)
 
@@ -168,6 +189,25 @@ def _naive_body(name: str, use: str) -> str:
 def test_naive_search_names_no_class_fact(source, expected):
     assert findings(source, "oracle.py") == expected
     assert findings(source, "blockers.py") == []
+
+
+@pytest.mark.parametrize("module, source, expected", [
+    ("blockers.py", _naive_body("_is_tree", "_boundary_runs(ctx, positions)"),
+     ["3: structural scan in the tree test"]),
+    ("blockers.py", _naive_body("_is_tree", "parent.setdefault(i, i)"), []),
+    ("blockers.py", "def _scan(ctx, edges):\n    return blockers._is_tree(edges)\n",
+     ["2: tree test in the structural scan"]),
+    ("blockers.py", "def validate_caterpillar(ctx, edges):\n"
+     "    return _scan(ctx, edges), _is_tree(edges)\n", []),
+    ("matchings.py", "def catalan_number(n):\n    return len(list(_pair_matchings(n)))\n",
+     ["2: enumerator in the Catalan count"]),
+    ("matchings.py", "def catalan_number(n):\n    return math.comb(2 * n, n) // (n + 1)\n",
+     []),
+], ids=["tree-names-scan", "tree-alone", "scan-names-tree", "both-in-validate",
+        "catalan-names-enumerator", "catalan-closed-form"])
+def test_witnesses_name_nothing_they_check(module, source, expected):
+    assert findings(source, module) == expected
+    assert findings(source, "oracle.py") == []
 
 
 @pytest.mark.parametrize("source, expected", [
