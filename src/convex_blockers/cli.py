@@ -12,8 +12,10 @@ Size caps refuse with `m=M exceeds the WHAT cap CAP` before any work:
 enumeration (12, or CONVEX_BLOCKERS_MAX_M) for `spm enumerate`, `blocker
 enumerate`, `oracle` and `verify`; naive search (5, fixed) and pruned search
 (8) for `oracle`, which checks it before building the index, and `verify`,
-which checks every m of its range up front.  `blocker check` never
-enumerates matchings (its blocking check is O(m^3)) and has no cap.
+which checks every m of its range up front; count (14271, the largest m
+whose count the interpreter prints) for `blocker count` in both forms.
+`blocker check` never enumerates matchings (its blocking check is O(m^3))
+and has no cap.
 """
 
 from __future__ import annotations
@@ -77,6 +79,16 @@ def _max_m() -> int:
         raise InputError(f"{ENV_MAX_M} must be an integer, got {raw!r}") from None
 
 
+def _count_cap() -> int:
+    """The largest m whose blocker count has few enough digits to print;
+    4300 digits is the interpreter's default when its limit is off."""
+    limit = 10 ** (sys.get_int_max_str_digits() or 4300)
+    m = limit.bit_length()
+    while count_blockers(m) >= limit:
+        m -= 1
+    return m
+
+
 def _print_json(payload) -> None:
     print(json.dumps(payload, separators=(",", ":")))
 
@@ -124,6 +136,7 @@ def cmd_blocker_enumerate(ns: argparse.Namespace) -> int:
 
 
 def cmd_blocker_count(ns: argparse.Namespace) -> int:
+    check_cap(ns.m, _count_cap(), "count")
     total = count_blockers(ns.m)  # refuses m < 2 for both forms
     if ns.by_spine:
         for t in range(2, ns.m + 1):

@@ -1,4 +1,4 @@
-"""Every bound on m: one message for the lower bounds and one for the three
+"""Every bound on m: one message for the lower bounds and one for the four
 size caps, and every refusal before any work."""
 
 from __future__ import annotations
@@ -64,11 +64,23 @@ def cli_refusal(capsys, *argv) -> str:
      lambda capsys: refusal(lambda: verify_theorem(2, 9))),
     (9, "pruned search", 8,
      lambda capsys: cli_refusal(capsys, "oracle", "--m", "9")),
+    (14272, "count", 14271,
+     lambda capsys: cli_refusal(capsys, "blocker", "count", "--m", "14272")),
+    (14272, "count", 14271,
+     lambda capsys: cli_refusal(capsys, "blocker", "count", "--m", "14272",
+                                "--by-spine")),
 ], ids=["spm_pairs", "blocker-enumerate", "naive-find_minimum_blockers",
         "naive-verify", "naive-oracle", "pruned-find_minimum_blockers",
-        "pruned-verify", "pruned-oracle"])
+        "pruned-verify", "pruned-oracle", "blocker-count", "blocker-count-by-spine"])
 def test_every_refusal_has_the_one_cap_format(capsys, m, what, cap, refuse):
     assert refuse(capsys) == f"m={m} exceeds the {what} cap {cap}"
+
+
+def test_count_cap_is_the_largest_count_that_prints(capsys):
+    status = cli.run_cli(["blocker", "count", "--m", "14271"])
+    out, err = capsys.readouterr()
+    assert (status, err) == (0, "")
+    assert out.endswith("\n") and len(out) == 4300 + 1 and out[:-1].isdigit()
 
 
 @pytest.mark.parametrize("m, mode, message", [
