@@ -80,8 +80,9 @@ def _max_m() -> int:
 
 
 def _count_cap() -> int:
-    """The largest m whose blocker count has few enough digits to print;
-    4300 digits is the interpreter's default when its limit is off."""
+    """The largest m whose count m * 2^(m-1) prints within the interpreter's
+    digit limit (4300 when it is off), walking down from the bit length of
+    10^digits, where the count has passed it already."""
     limit = 10 ** (sys.get_int_max_str_digits() or 4300)
     m = limit.bit_length()
     while count_blockers(m) >= limit:
