@@ -15,6 +15,10 @@ arbitrary edge set back to its parameters or reporting the first broken
 structural condition), counts them in closed form, shrinks them into the
 polygon on 2m-2 vertices, and classifies boundary-edge subsets by the
 trichotomy used in half-boundary arguments.
+
+Generation and the structural checks work on int endpoints: generated
+edges and reported boundary paths are looked up in the context's
+`edge_of` table, and the scan unpacks each edge once into its two vertices.
 """
 
 from __future__ import annotations
@@ -79,11 +83,14 @@ class BlockerSpec:
     def validate(self, ctx: PolygonContext) -> "BlockerSpec":
         m = ctx.m
         check_min(m, 2)
+        eps = tuple(self.eps)
+        if not all(isinstance(v, int) for v in (self.start, self.t, *eps)):
+            raise InputError("start, t and offsets must be integers, got "
+                             f"start={self.start!r}, t={self.t!r}, eps={eps!r}")
         if not 0 <= self.start < ctx.n:
             raise InputError(f"start must be in 0..{ctx.n - 1}, got {self.start}")
         if not 2 <= self.t <= m:
             raise InputError(f"spine length t must be in 2..{m}, got {self.t}")
-        eps = tuple(self.eps)
         if len(eps) != m - self.t:
             raise InputError(
                 f"expected {m - self.t} offsets for t={self.t}, got {len(eps)}")
@@ -136,12 +143,13 @@ class CaterpillarReport:
 
 def generate_blocker(ctx: PolygonContext, spec: BlockerSpec) -> frozenset[Edge]:
     """The m-edge set a spec describes: the spine plus one diagonal per
-    remaining odd parallel class, hanging off interior spine vertices."""
+    remaining odd parallel class, hanging off interior spine vertices.
+    Its edges are the context's canonical objects from `edge_of`."""
     spec.validate(ctx)
-    s, t = spec.start, spec.t
-    edges = [ctx.edge(s + i - 1, s + i) for i in range(1, t + 1)]
+    s, t, n, edge_of = spec.start, spec.t, ctx.n, ctx.edge_of
+    edges = [edge_of[(s + i - 1) % n, (s + i) % n] for i in range(1, t + 1)]
     for j, eps in enumerate(spec.eps, start=1):
-        edges.append(ctx.edge(s + t + j - 1 - eps, s + t + j + eps))
+        edges.append(edge_of[(s + t + j - 1 - eps) % n, (s + t + j + eps) % n])
     return frozenset(edges)
 
 
@@ -198,8 +206,9 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
     Each edge is checked against the polygon once; every test after that is
     integer arithmetic mod 2m on the endpoints a < b.  The parallel class is
     (a + b) mod 2m; a boundary edge has b - a equal to 1 or 2m-1 and sits at
-    position a, or 2m-1 for the wrap edge; and on the sorted list e < f
-    cross exactly when e.a < f.a < e.b < f.b, which rules out shared vertices.
+    position a, or 2m-1 for the wrap edge; and on the sorted list (a, b)
+    and a later (c, d) cross exactly when a < c < b < d, which rules out
+    shared vertices, so the first later edge with c >= b ends the search.
 
     Check order: one edge per odd parallel class, boundary count >= 2,
     boundary consecutiveness, crossing-freeness, leg attachment locations,
@@ -214,8 +223,12 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
 
     violations: list[StructuralViolation] = []
     by_class: dict[int, Edge] = {}
+    boundary: list[Edge] = []
+    interior: list[Edge] = []
+    positions: set[int] = set()
     for e in edge_list:
-        c = (e.a + e.b) % n
+        a, b = e
+        c = (a + b) % n
         if c % 2 == 0:
             violations.append(StructuralViolation(VIOLATION_EVEN_ORDER, (e,)))
         elif c in by_class:
@@ -223,30 +236,41 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
                 StructuralViolation(VIOLATION_DUPLICATE_CLASS, (by_class[c], e)))
         else:
             by_class[c] = e
+        if b - a == 1:
+            boundary.append(e)
+            positions.add(a)
+        elif b - a == n - 1:
+            boundary.append(e)
+            positions.add(n - 1)
+        else:
+            interior.append(e)
 
-    boundary = [e for e in edge_list if e.b - e.a in (1, n - 1)]
-    interior = [e for e in edge_list if e.b - e.a not in (1, n - 1)]
     if len(boundary) < 2:
         violations.append(
             StructuralViolation(VIOLATION_FEW_BOUNDARY, tuple(boundary)))
 
-    positions = {e.a if e.b - e.a == 1 else n - 1 for e in boundary}
     runs = _boundary_runs(ctx, positions)
     if len(runs) > 1:
         violations.append(
             StructuralViolation(VIOLATION_NOT_CONSECUTIVE, tuple(boundary)))
 
-    for e, f in itertools.combinations(edge_list, 2):
-        if e.a < f.a < e.b < f.b:
-            violations.append(StructuralViolation(VIOLATION_CROSSING, (e, f)))
+    for i, e in enumerate(edge_list):
+        a, b = e
+        for f in edge_list[i + 1:]:
+            c, d = f
+            if c >= b:  # sorted by first vertex: no later edge crosses e
+                break
+            if a < c and b < d:
+                violations.append(StructuralViolation(VIOLATION_CROSSING, (e, f)))
 
     spine = None
     if len(runs) == 1 and len(boundary) >= 2:
         start, t = runs[0]
         legs = []
         for e in interior:
-            ra = (e.a - start) % n
-            rb = (e.b - start) % n
+            a, b = e
+            ra = (a - start) % n
+            rb = (b - start) % n
             if 1 <= ra <= t - 1 and t + 1 <= rb:
                 legs.append((ra, rb, e))
             elif 1 <= rb <= t - 1 and t + 1 <= ra:
@@ -256,9 +280,10 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
                     StructuralViolation(VIOLATION_BAD_ATTACHMENT, (e,)))
         legs.sort()
         for (p, pf, e1), (q, qf, e2) in itertools.combinations(legs, 2):
-            # Attachment points farther apart than far endpoints (or tied)
-            # would admit a matching of parallels slipping between the legs.
-            if p < q and not (pf - qf > q - p):
+            # Attachment points farther apart than far endpoints (or tied),
+            # pf - qf <= q - p, would admit a matching of parallels
+            # slipping between the legs.
+            if p < q and p + pf <= q + qf:
                 violations.append(StructuralViolation(
                     VIOLATION_LEG_GAP, tuple(sorted((e1, e2)))))
         spine = (start, t, legs)
@@ -326,7 +351,8 @@ def validate_caterpillar(ctx: PolygonContext, edges) -> CaterpillarReport:
     violations.extend(scan_violations)
 
     start, length = max(runs, key=lambda run: (run[1], -run[0]), default=(0, 0))
-    path = tuple(ctx.boundary_edge(start + i) for i in range(length))
+    n, edge_of = ctx.n, ctx.edge_of
+    path = tuple(edge_of[p % n, (p + 1) % n] for p in range(start, start + length))
     return CaterpillarReport(tree, path, length, violations)
 
 

@@ -8,6 +8,11 @@ Key facts baked into the representation:
 
 * An `Edge` is the normalized vertex pair (a, b) with a < b, a tuple of
   two ints; it keys any table directly, with no second pair form.
+* Each `PolygonContext` builds its m(2m-1) edges once, on first use, as
+  one table in edge-index order with maps from vertex pairs to those
+  edges and from edges to their ranks.  Hot paths compute int endpoints
+  and look the canonical `Edge` up there instead of constructing and
+  validating a new one; the table costs O(m^2) time and memory once.
 * The *order* of an edge [i, i+k] is min(k, 2m-k); order-1 edges lie on
   the polygon boundary, everything else is a diagonal.
 * Two vertex-disjoint edges are *parallel* exactly when their endpoint
@@ -22,7 +27,8 @@ Key facts baked into the representation:
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import InputError, check_min
@@ -81,25 +87,44 @@ class PolygonContext:
 
     Provides the vertex/edge universe and a deterministic edge index
     (lexicographic rank of the normalized pair), which fixes the bitmask
-    layout used everywhere else.
+    layout used everywhere else.  `edge_table`, `edge_of` and `edge_rank`
+    hold the context's canonical edges; they are built on first use and
+    then shared.
     """
 
     m: int
+    n: int = field(init=False, repr=False, compare=False)  # vertices, 2m
 
     def __post_init__(self) -> None:
         if not isinstance(self.m, int):
             raise InputError(f"m must be an integer, got {self.m}")
         check_min(self.m, 1)
-
-    @property
-    def n(self) -> int:
-        """Number of vertices, 2m."""
-        return 2 * self.m
+        object.__setattr__(self, "n", 2 * self.m)
 
     @property
     def edge_count(self) -> int:
         """Number of edges of the complete graph, m(2m-1)."""
         return self.m * (2 * self.m - 1)
+
+    @cached_property
+    def edge_table(self) -> tuple[Edge, ...]:
+        """Every edge once, in edge-index (lexicographic) order."""
+        n = self.n
+        return tuple(Edge(a, b) for a in range(n - 1) for b in range(a + 1, n))
+
+    @cached_property
+    def edge_of(self) -> dict[tuple[int, int], Edge]:
+        """The table's edge between vertices a and b, keyed by the int pair
+        (a, b) in either order."""
+        edge_of = {}
+        for e in self.edge_table:
+            edge_of[e] = edge_of[e.b, e.a] = e
+        return edge_of
+
+    @cached_property
+    def edge_rank(self) -> dict[Edge, int]:
+        """Edge index of every edge; a plain (a, b) pair with a < b keys it too."""
+        return {e: i for i, e in enumerate(self.edge_table)}
 
     def edge(self, u: int, v: int) -> Edge:
         """Edge between two vertices given modulo 2m."""
@@ -115,28 +140,18 @@ class PolygonContext:
 
     def edges(self) -> Iterator[Edge]:
         """All edges, in edge-index (lexicographic) order."""
-        for a in range(self.n - 1):
-            for b in range(a + 1, self.n):
-                yield Edge(a, b)
+        return iter(self.edge_table)
 
     def edge_index(self, e: Edge) -> int:
         """Lexicographic rank of (a, b) among all pairs; stable across runs."""
-        self.check_edge(e)
-        a, b, n = e.a, e.b, self.n
-        return a * (n - 1) - a * (a - 1) // 2 + (b - a - 1)
+        return self.edge_rank[self.check_edge(e)]
 
     def edge_at(self, index: int) -> Edge:
         """Inverse of edge_index."""
         if not 0 <= index < self.edge_count:
             raise InputError(
                 f"edge index {index} out of range 0..{self.edge_count - 1}")
-        a = 0
-        row = self.n - 1
-        while index >= row:
-            index -= row
-            a += 1
-            row -= 1
-        return Edge(a, a + 1 + index)
+        return self.edge_table[index]
 
     def boundary_edge(self, position: int) -> Edge:
         """The boundary edge from vertex `position` to its cyclic successor."""

@@ -2,8 +2,8 @@
 
 The exhaustive enumeration (Catalan many) works on plain (a, b) int
 pairs: `spm_pairs` streams them, and `enumerate_spms` turns them into
-`Edge` sets at the API boundary.  Besides it, two special families are
-constructed directly:
+sets of the context's canonical `Edge` objects at the API boundary.
+Besides it, two special families are constructed directly:
 
 * parallel matchings: the full parallel class of a boundary edge;
 * triangular matchings: three fans of mutually parallel nested edges
@@ -110,7 +110,7 @@ def enumerate_spms(ctx: PolygonContext, *, max_m: int = DEFAULT_MAX_M) -> list[M
     The count is the m-th Catalan number.  Refuses m beyond `max_m`.
     """
     pairs = spm_pairs(ctx, max_m=max_m)
-    edge_of = {e: e for e in ctx.edges()}.__getitem__
+    edge_of = ctx.edge_of.__getitem__
     return [frozenset(map(edge_of, s)) for s in pairs]
 
 

@@ -71,9 +71,9 @@ def build_family_index(ctx: PolygonContext, *, max_m: int = DEFAULT_MAX_M
                        ) -> SpmFamilyIndex:
     spms = []
     hits = [0] * ctx.edge_count
-    # The enumerator's edges are valid by construction, so a table ranks
-    # them without the checks of `ctx.edge_index`.
-    rank = {e: i for i, e in enumerate(ctx.edges())}
+    # The enumerator's edges are valid by construction, so the context's
+    # table ranks them without the checks of `ctx.edge_index`.
+    rank = ctx.edge_rank
     for position, s in enumerate(enumerate_spms(ctx, max_m=max_m)):
         bits = 0
         for e in s:
@@ -94,9 +94,11 @@ def _positions(mask: int) -> Iterator[int]:
 
 def _unhit(index: SpmFamilyIndex, edges) -> int:
     """Bitmask of the matchings that contain none of the edges."""
+    ctx, hits = index.ctx, index.per_edge_hits
+    check, rank = ctx.check_edge, ctx.edge_rank
     covered = 0
     for e in edges:
-        covered |= index.per_edge_hits[index.ctx.edge_index(e)]
+        covered |= hits[rank[check(e)]]
     return index.full_cover & ~covered
 
 
@@ -108,8 +110,8 @@ def is_blocking_set(index: SpmFamilyIndex, edges) -> bool:
 def missed_spms(index: SpmFamilyIndex, edges) -> list[frozenset[Edge]]:
     """The matchings the edge set fails to hit (empty for blocking sets),
     in enumeration order."""
-    ctx = index.ctx
-    return [frozenset(ctx.edge_at(i) for i in _positions(index.spms[position]))
+    table = index.ctx.edge_table
+    return [frozenset(map(table.__getitem__, _positions(index.spms[position])))
             for position in _positions(_unhit(index, edges))]
 
 

@@ -88,6 +88,70 @@ def test_generate_rejects_m1():
         generate_blocker(PolygonContext(1), BlockerSpec(0, 1, ()))
 
 
+# A float start such as 1.0 hashes and compares equal to 1, so a table
+# keyed by int pairs would hand back a blocker; a float t made `range` raise
+# TypeError.  Each is refused with the one message before any lookup.
+@pytest.mark.parametrize("spec", [
+    BlockerSpec(0, 2.0, (1,)),
+    BlockerSpec(1.0, 2, (1,)),
+    BlockerSpec(0, 2, (1.0,)),
+    BlockerSpec("0", 2, (1,)),
+], ids=["float-t", "float-start", "float-offset", "text-start"])
+def test_spec_refuses_non_integers(spec):
+    ctx = PolygonContext(3)
+    message = ("start, t and offsets must be integers, got "
+               f"start={spec.start!r}, t={spec.t!r}, eps={spec.eps!r}")
+    for call in (spec.validate, lambda c: generate_blocker(c, spec),
+                 lambda c: blocker_to_json(c, spec)):
+        with pytest.raises(InputError, match=re.escape(message)):
+            call(ctx)
+
+
+def _slow_generate_blocker(ctx, spec):
+    """`generate_blocker` before the context's edge table: every edge is
+    built and validated through `ctx.edge`."""
+    spec.validate(ctx)
+    s, t = spec.start, spec.t
+    edges = [ctx.edge(s + i - 1, s + i) for i in range(1, t + 1)]
+    for j, eps in enumerate(spec.eps, start=1):
+        edges.append(ctx.edge(s + t + j - 1 - eps, s + t + j + eps))
+    return frozenset(edges)
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_generate_agrees_with_the_slow_twin(m):
+    ctx = PolygonContext(m)
+    for spec in enumerate_blocker_specs(ctx):
+        blocker = generate_blocker(ctx, spec)
+        assert blocker == _slow_generate_blocker(ctx, spec)
+        assert all(ctx.edge_of[e] is e for e in blocker)
+
+
+def test_blocker_layer_builds_no_edge_once_the_table_exists(monkeypatch):
+    inputs = [(PolygonContext(m), edges(text)) for m, text, _name in MUTANTS]
+    inputs.append((PolygonContext(2), edges("0-1,2-3")))  # not a tree
+    ctx = PolygonContext(7)
+    for c in [ctx] + [c for c, _e in inputs]:
+        c.edge_of  # builds the table of this instance
+    built = []
+    new = Edge.__new__
+
+    def counting(cls, a, b):
+        built.append((a, b))
+        return new(cls, a, b)
+
+    monkeypatch.setattr(Edge, "__new__", counting)
+    generated = [generate_blocker(ctx, spec) for spec in enumerate_blocker_specs(ctx)]
+    assert enumerate_blockers(ctx) == generated
+    inputs += [(ctx, blocker) for blocker in generated]
+    for c, edge_set in inputs:
+        validate_caterpillar(c, edge_set)
+        parse_blocker(c, edge_set)
+    assert built == []
+    Edge(2, 1)
+    assert built == [(2, 1)]
+
+
 @pytest.mark.parametrize("m", range(2, 7))
 def test_generated_blockers_structure(m):
     ctx = PolygonContext(m)
@@ -323,6 +387,15 @@ def test_validate_flags_leg_at_spine_endpoint():
     assert VIOLATION_BAD_ATTACHMENT in names
     # the same edge set also reuses a parallel class ([2,7] and [0,9])
     assert VIOLATION_DUPLICATE_CLASS in names
+
+
+def test_validate_flags_tied_legs():
+    # Legs 1-8 and 3-6 are parallel, so their attachment gap ties with the
+    # gap of their far endpoints: a leg-gap violation besides the class one.
+    report = validate_caterpillar(PolygonContext(6), edges("0-1,1-2,2-3,3-4,1-8,3-6"))
+    assert [(v.name, v.witness) for v in report.violations] == [
+        (VIOLATION_DUPLICATE_CLASS, (Edge(1, 8), Edge(3, 6))),
+        (VIOLATION_LEG_GAP, (Edge(1, 8), Edge(3, 6)))]
 
 
 def test_validate_flags_disconnected_pair():

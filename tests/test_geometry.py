@@ -304,6 +304,47 @@ def test_edge_index_frozen_layout_m2():
     assert [ctx.edge_at(i) for i in range(6)] == expected
 
 
+def _slow_edge_at(ctx: PolygonContext, index: int) -> Edge:
+    """The row walk `edge_at` ran before the context had an edge table."""
+    a = 0
+    row = ctx.n - 1
+    while index >= row:
+        index -= row
+        a += 1
+        row -= 1
+    return Edge(a, a + 1 + index)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_edge_table_holds_every_pair_once_in_index_order(m):
+    ctx = PolygonContext(m)
+    n = ctx.n
+    pairs = [(a, b) for a in range(n - 1) for b in range(a + 1, n)]
+    assert ctx.edge_table == tuple(Edge(a, b) for a, b in pairs)
+    assert len(ctx.edge_of) == 2 * len(ctx.edge_rank) == 2 * ctx.edge_count
+    for i, e in enumerate(ctx.edge_table):
+        assert type(e) is Edge
+        assert ctx.edge_at(i) is e
+        assert e == _slow_edge_at(ctx, i)
+        assert ctx.edge_index(e) == ctx.edge_rank[e] == i
+        # the lexicographic rank of (a, b), as `edge_index` once computed it
+        assert i == e.a * (n - 1) - e.a * (e.a - 1) // 2 + (e.b - e.a - 1)
+        assert ctx.edge_of[e.a, e.b] is e and ctx.edge_of[e.b, e.a] is e
+    assert tuple(ctx.edges()) == ctx.edge_table
+
+
+def test_context_stores_n_and_keeps_its_value_semantics():
+    ctx = PolygonContext(3)
+    assert ctx.__dict__["n"] == ctx.n == 6
+    assert repr(ctx) == "PolygonContext(m=3)"
+    twin = PolygonContext(3)
+    assert ctx.edge_table is ctx.edge_table
+    assert twin == ctx and hash(twin) == hash(ctx)
+    assert twin.edge_table == ctx.edge_table and twin.edge_table is not ctx.edge_table
+    with pytest.raises(TypeError):
+        PolygonContext(3, 6)
+
+
 def test_boundary_position_round_trip():
     for m in range(2, 7):
         ctx = PolygonContext(m)

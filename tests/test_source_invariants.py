@@ -8,7 +8,8 @@ an edge to the pair `(e.a, e.b)`: an `Edge` is that pair already.  Only
 The naive search in `oracle.py` names no parallel-class fact and not the
 pruned search, so it stays a witness from the blocking definition alone.
 In the same way the tree test and the structural scan in `blockers.py`
-name neither other, and the Catalan count names no enumerator.
+name neither other, the scan and `validate_caterpillar` name no part of the
+blocker generator, and the Catalan count names no enumerator.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import convex_blockers
 
 SOURCES = sorted(Path(convex_blockers.__file__).parent.glob("*.py"))
 LOWER_BOUND_TEXT = re.compile(r"\bm (must be )?>= ")
+GENERATOR = ("generate_blocker", "enumerate_blockers", "enumerate_blocker_specs")
 # (module, top-level function, names it may not use, rule): each witness
 # stays independent of the code it cross-checks.
 WITNESS_RULES = [
@@ -32,6 +34,9 @@ WITNESS_RULES = [
     ("blockers.py", "_is_tree", ("_scan", "_boundary_runs"),
      "structural scan in the tree test"),
     ("blockers.py", "_scan", ("_is_tree",), "tree test in the structural scan"),
+    ("blockers.py", "_scan", GENERATOR, "generator in the structural witness"),
+    ("blockers.py", "validate_caterpillar", GENERATOR,
+     "generator in the structural witness"),
     ("matchings.py", "catalan_number",
      ("_pair_matchings", "spm_pairs", "enumerate_spms", "first_avoiding_spm"),
      "enumerator in the Catalan count"),
@@ -199,11 +204,19 @@ def test_naive_search_names_no_class_fact(source, expected):
      ["2: tree test in the structural scan"]),
     ("blockers.py", "def validate_caterpillar(ctx, edges):\n"
      "    return _scan(ctx, edges), _is_tree(edges)\n", []),
+    ("blockers.py", "def validate_caterpillar(ctx, edges):\n"
+     "    return edges in enumerate_blockers(ctx)\n",
+     ["2: generator in the structural witness"]),
+    ("blockers.py", _naive_body("_scan", "blockers.generate_blocker(ctx, spec)"),
+     ["3: generator in the structural witness"]),
+    ("blockers.py", "def parse_blocker(ctx, edges):\n"
+     "    return generate_blocker(ctx, spec) == edges\n", []),
     ("matchings.py", "def catalan_number(n):\n    return len(list(_pair_matchings(n)))\n",
      ["2: enumerator in the Catalan count"]),
     ("matchings.py", "def catalan_number(n):\n    return math.comb(2 * n, n) // (n + 1)\n",
      []),
 ], ids=["tree-names-scan", "tree-alone", "scan-names-tree", "both-in-validate",
+        "validate-names-generator", "scan-names-generator", "parse-regenerates",
         "catalan-names-enumerator", "catalan-closed-form"])
 def test_witnesses_name_nothing_they_check(module, source, expected):
     assert findings(source, module) == expected
