@@ -17,8 +17,8 @@ polygon on 2m-2 vertices, and classifies boundary-edge subsets by the
 trichotomy used in half-boundary arguments.
 
 Generation and the structural checks work on int endpoints: generated
-edges and reported boundary paths are looked up in the context's
-`edge_of` table, and the scan unpacks each edge once into its two vertices.
+edges are looked up in the context's `edge_of` table, and the scan unpacks
+each edge once and reports the input's own edges, boundary path included.
 """
 
 from __future__ import annotations
@@ -185,8 +185,9 @@ def count_blockers_by_spine(m: int, t: int) -> int:
     return math.comb(m - 2, t - 2)
 
 
-def _boundary_runs(ctx: PolygonContext, positions: set[int]) -> list[tuple[int, int]]:
-    """Maximal cyclic runs of boundary positions as (start, length)."""
+def _boundary_runs(ctx: PolygonContext, positions: dict[int, Edge]
+                   ) -> list[tuple[int, int]]:
+    """Maximal cyclic runs of the keys of `positions` as (start, length)."""
     n = ctx.n
     if len(positions) == n:
         return [(0, n)]
@@ -212,20 +213,19 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
 
     Check order: one edge per odd parallel class, boundary count >= 2,
     boundary consecutiveness, crossing-freeness, leg attachment locations,
-    leg distance gaps.  Returns (violations, edge_list, runs, spine):
-    edge_list is the sorted edges, runs are the maximal boundary runs from
-    `_boundary_runs`, and spine is (start, t, legs) once the boundary edges
-    form a single run of length >= 2; legs are (attach, far, edge) triples
-    in start-relative labels.
+    leg distance gaps.  Returns (violations, edge_list, boundary, runs,
+    spine): the sorted edges, each boundary position's edge from the input,
+    the maximal boundary runs from `_boundary_runs`, and spine (start, t,
+    legs) once the boundary edges form a single run of length >= 2; legs
+    are (attach, far, edge) triples in start-relative labels.
     """
     n = ctx.n
     edge_list = sorted(map(ctx.check_edge, edges))
 
     violations: list[StructuralViolation] = []
     by_class: dict[int, Edge] = {}
-    boundary: list[Edge] = []
+    boundary: dict[int, Edge] = {}  # position -> the input's edge there
     interior: list[Edge] = []
-    positions: set[int] = set()
     for e in edge_list:
         a, b = e
         c = (a + b) % n
@@ -237,22 +237,20 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
         else:
             by_class[c] = e
         if b - a == 1:
-            boundary.append(e)
-            positions.add(a)
+            boundary[a] = e
         elif b - a == n - 1:
-            boundary.append(e)
-            positions.add(n - 1)
+            boundary[n - 1] = e
         else:
             interior.append(e)
 
     if len(boundary) < 2:
-        violations.append(
-            StructuralViolation(VIOLATION_FEW_BOUNDARY, tuple(boundary)))
+        violations.append(StructuralViolation(
+            VIOLATION_FEW_BOUNDARY, tuple(boundary.values())))
 
-    runs = _boundary_runs(ctx, positions)
+    runs = _boundary_runs(ctx, boundary)
     if len(runs) > 1:
-        violations.append(
-            StructuralViolation(VIOLATION_NOT_CONSECUTIVE, tuple(boundary)))
+        violations.append(StructuralViolation(
+            VIOLATION_NOT_CONSECUTIVE, tuple(boundary.values())))
 
     for i, e in enumerate(edge_list):
         a, b = e
@@ -287,7 +285,7 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
                 violations.append(StructuralViolation(
                     VIOLATION_LEG_GAP, tuple(sorted((e1, e2)))))
         spine = (start, t, legs)
-    return violations, edge_list, runs, spine
+    return violations, edge_list, boundary, runs, spine
 
 
 def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolation:
@@ -342,7 +340,7 @@ def validate_caterpillar(ctx: PolygonContext, edges) -> CaterpillarReport:
     describes the longest boundary run.
     """
     edges = frozenset(edges)
-    scan_violations, edge_list, runs, _spine = _scan(ctx, edges)
+    scan_violations, edge_list, boundary, runs, _spine = _scan(ctx, edges)
     violations: list[StructuralViolation] = []
     tree = _is_tree(edges)
     if not tree:
@@ -351,8 +349,7 @@ def validate_caterpillar(ctx: PolygonContext, edges) -> CaterpillarReport:
     violations.extend(scan_violations)
 
     start, length = max(runs, key=lambda run: (run[1], -run[0]), default=(0, 0))
-    n, edge_of = ctx.n, ctx.edge_of
-    path = tuple(edge_of[p % n, (p + 1) % n] for p in range(start, start + length))
+    path = tuple(boundary[p % ctx.n] for p in range(start, start + length))
     return CaterpillarReport(tree, path, length, violations)
 
 

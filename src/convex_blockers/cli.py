@@ -8,14 +8,14 @@ stdout goes away (`| head`), `main` stops quietly with status 1.
 Too small an m is refused with `m must be >= 1, got M` for the polygon,
 checked first, and `m must be >= 2, got M` for every `blocker` command and
 `render --blocker-spec`.  `verify` refuses `--m-min` below 2 by its range.
-Size caps refuse with `m=M exceeds the WHAT cap CAP` before any work:
-enumeration (12, or CONVEX_BLOCKERS_MAX_M) for `spm enumerate`, `blocker
-enumerate`, `oracle` and `verify`; naive search (5, fixed) and pruned search
-(8) for `oracle`, which checks it before building the index, and `verify`,
-which checks every m of its range up front; count (14271, the largest m
-whose count the interpreter prints) for `blocker count` in both forms.
-`blocker check` never enumerates matchings (its blocking check is O(m^3))
-and has no cap.
+Fixed size caps refuse with `m=M exceeds the WHAT cap CAP` before any
+work: enumeration (`DEFAULT_MAX_M`) for `spm enumerate`, `blocker
+enumerate`, `oracle` and `verify`; naive search (`DEFAULT_NAIVE_CAP`) and
+pruned search (`DEFAULT_PRUNED_CAP`) for `oracle`, which checks it before
+building the index, and `verify`, which checks every m of its range up
+front; count (14271, the largest m whose count the interpreter prints) for
+`blocker count` in both forms.  `blocker check` never enumerates matchings
+(its blocking check is O(m^3)) and has no cap.
 """
 
 from __future__ import annotations
@@ -68,17 +68,6 @@ from .oracle import (
 from .render import RenderSpec, render_figure
 from .verify import verify_theorem
 
-ENV_MAX_M = "CONVEX_BLOCKERS_MAX_M"
-
-
-def _max_m() -> int:
-    raw = os.environ.get(ENV_MAX_M, str(DEFAULT_MAX_M))
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"{ENV_MAX_M} must be an integer, got {raw!r}") from None
-
-
 def _count_cap() -> int:
     """The largest m whose count m * 2^(m-1) prints within the interpreter's
     digit limit (4300 when it is off), walking down from the bit length of
@@ -96,7 +85,7 @@ def _print_json(payload) -> None:
 
 def cmd_spm_enumerate(ns: argparse.Namespace) -> int:
     ctx = PolygonContext(ns.m)
-    spms = spm_pairs(ctx, max_m=_max_m())
+    spms = spm_pairs(ctx)
     if ns.format == "json":
         _print_json(list(spms))
     else:
@@ -126,7 +115,7 @@ def cmd_spm_triangular(ns: argparse.Namespace) -> int:
 
 def cmd_blocker_enumerate(ns: argparse.Namespace) -> int:
     ctx = PolygonContext(ns.m)
-    check_cap(ns.m, _max_m(), "enumeration")
+    check_cap(ns.m, DEFAULT_MAX_M, "enumeration")
     specs = enumerate_blocker_specs(ctx)
     if ns.format == "json":
         _print_json([blocker_to_json(ctx, spec) for spec in specs])
@@ -168,14 +157,14 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
     ctx = PolygonContext(ns.m)
     mode = MODE_NAIVE if ns.mode == "naive" else MODE_CLASS_PRUNED
     check_search_cap(ns.m, mode)
-    index = build_family_index(ctx, max_m=_max_m())
+    index = build_family_index(ctx)
     result = find_minimum_blockers(index, mode)
     _print_json(oracle_report_json(index, result))
     return 0
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    reports = verify_theorem(ns.m_min, ns.m_max, ns.naive_up_to, max_m=_max_m())
+    reports = verify_theorem(ns.m_min, ns.m_max, ns.naive_up_to)
     for report in reports:
         _print_json(report.to_json())
     return 0 if all(r.passed for r in reports) else 1

@@ -36,7 +36,7 @@ __all__ = [
 
 Matching = frozenset[Edge]
 
-# Default enumeration cap; the Catalan number for m=12 is 208012.
+# The enumeration cap, fixed; the Catalan number for m=12 is 208012.
 DEFAULT_MAX_M = 12
 
 
@@ -88,28 +88,27 @@ def _pair_matchings(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
                 yield (e,) + inner + outer
 
 
-def spm_pairs(ctx: PolygonContext, *, max_m: int = DEFAULT_MAX_M
-              ) -> Iterator[tuple[tuple[int, int], ...]]:
+def spm_pairs(ctx: PolygonContext) -> Iterator[tuple[tuple[int, int], ...]]:
     """Iterator over all simple perfect matchings as sorted tuples of
     (a, b) vertex pairs with a < b, in lexicographic order.  The pairs are
     exact int tuples, each equal to the `Edge` of `enumerate_spms`.
 
     The order is that of `enumerate_spms`: each tuple lists its edges by
     first vertex, the first edge (0, k) comes out with k ascending, and for
-    a fixed first edge the inner and outer blocks have fixed lengths and
-    are sorted recursively.  Memory is set by the largest sub-interval, not
-    by the Catalan many matchings.  Refuses m beyond `max_m` on the call.
+    a fixed first edge the inner and outer blocks have fixed lengths and are
+    sorted recursively.  Memory is set by the largest sub-interval, not by
+    the Catalan many matchings.  Refuses m past `DEFAULT_MAX_M` on the call.
     """
-    check_cap(ctx.m, max_m, "enumeration")
+    check_cap(ctx.m, DEFAULT_MAX_M, "enumeration")
     return _pair_matchings(ctx.m)
 
 
-def enumerate_spms(ctx: PolygonContext, *, max_m: int = DEFAULT_MAX_M) -> list[Matching]:
+def enumerate_spms(ctx: PolygonContext) -> list[Matching]:
     """All simple perfect matchings, sorted lexicographically by edge list.
 
-    The count is the m-th Catalan number.  Refuses m beyond `max_m`.
+    The count is the m-th Catalan number.  Refuses m beyond `DEFAULT_MAX_M`.
     """
-    pairs = spm_pairs(ctx, max_m=max_m)
+    pairs = spm_pairs(ctx)
     edge_of = ctx.edge_of.__getitem__
     return [frozenset(map(edge_of, s)) for s in pairs]
 

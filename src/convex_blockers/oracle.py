@@ -24,7 +24,7 @@ from typing import Iterator
 
 from .errors import InputError, check_cap
 from .geometry import Edge, PolygonContext, edges_to_lists, parallel_class
-from .matchings import DEFAULT_MAX_M, enumerate_spms
+from .matchings import enumerate_spms
 
 __all__ = [
     "SpmFamilyIndex",
@@ -67,14 +67,13 @@ class SpmFamilyIndex:
         return (1 << len(self.spms)) - 1
 
 
-def build_family_index(ctx: PolygonContext, *, max_m: int = DEFAULT_MAX_M
-                       ) -> SpmFamilyIndex:
+def build_family_index(ctx: PolygonContext) -> SpmFamilyIndex:
     spms = []
     hits = [0] * ctx.edge_count
     # The enumerator's edges are valid by construction, so the context's
     # table ranks them without the checks of `ctx.edge_index`.
     rank = ctx.edge_rank
-    for position, s in enumerate(enumerate_spms(ctx, max_m=max_m)):
+    for position, s in enumerate(enumerate_spms(ctx)):
         bits = 0
         for e in s:
             i = rank[e]
@@ -128,7 +127,7 @@ class OracleResult:
 
 def check_search_cap(m: int, mode: str, *, pruned_cap: int = DEFAULT_PRUNED_CAP) -> None:
     """Refuse an unknown mode, or m beyond its search cap, before any work.
-    The naive cap is fixed at 5; `pruned_cap` is the way past m = 8."""
+    `DEFAULT_NAIVE_CAP` is fixed; `pruned_cap` moves `DEFAULT_PRUNED_CAP`."""
     if mode == MODE_NAIVE:
         check_cap(m, DEFAULT_NAIVE_CAP, "naive search")
     elif mode == MODE_CLASS_PRUNED:

@@ -104,32 +104,30 @@ class VerificationReport:
 
 
 def verify_theorem(m_min: int, m_max: int, naive_up_to: int = 0, *,
-                   pruned_cap: int = DEFAULT_PRUNED_CAP,
-                   max_m: int = DEFAULT_MAX_M) -> list[VerificationReport]:
+                   pruned_cap: int = DEFAULT_PRUNED_CAP) -> list[VerificationReport]:
     """One report per m in m_min..m_max; the naive search also runs for
-    m <= naive_up_to.  An m beyond any cap (enumeration `max_m`, pruned
-    search `pruned_cap`, or the fixed naive-search cap 5 for m <= naive_up_to)
-    is refused before any work, naming the first such m."""
+    m <= naive_up_to.  An m beyond any cap (enumeration `DEFAULT_MAX_M`,
+    pruned search `pruned_cap`, fixed naive search `DEFAULT_NAIVE_CAP` for
+    m <= naive_up_to) is refused before any work, naming the first such m."""
     if not 2 <= m_min <= m_max:
         raise InputError(f"need 2 <= m_min <= m_max, got {m_min}..{m_max}")
     for m in range(m_min, m_max + 1):
-        check_cap(m, max_m, "enumeration")
+        check_cap(m, DEFAULT_MAX_M, "enumeration")
         check_search_cap(m, MODE_CLASS_PRUNED, pruned_cap=pruned_cap)
         if m <= naive_up_to:
             check_search_cap(m, MODE_NAIVE)
     return [
-        _verify_single(m, naive=m <= naive_up_to, pruned_cap=pruned_cap, max_m=max_m)
+        _verify_single(m, naive=m <= naive_up_to, pruned_cap=pruned_cap)
         for m in range(m_min, m_max + 1)
     ]
 
 
-def _verify_single(m: int, *, naive: bool, pruned_cap: int,
-                   max_m: int) -> VerificationReport:
+def _verify_single(m: int, *, naive: bool, pruned_cap: int) -> VerificationReport:
     ctx = PolygonContext(m)
     durations: dict[str, float] = {}
 
     with _timed(durations, "spm_enumeration"):
-        index = build_family_index(ctx, max_m=max_m)
+        index = build_family_index(ctx)
     with _timed(durations, "blocker_generation"):
         generated = enumerate_blockers(ctx)
     with _timed(durations, "oracle_class_pruned"):

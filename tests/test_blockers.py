@@ -152,6 +152,22 @@ def test_blocker_layer_builds_no_edge_once_the_table_exists(monkeypatch):
     assert built == [(2, 1)]
 
 
+def test_structural_checks_keep_to_the_input_edges():
+    # Only regenerating a parsed blocker needs the context's edge table, so
+    # a refused set and any report at m = 300 build none of its 179,700 edges.
+    ctx = PolygonContext(300)
+    spine = [Edge(p, p + 1) for p in range(300)]  # a blocker with t = m
+    report = validate_caterpillar(ctx, spine)
+    assert report.ok and report.spine_length == 300
+    assert all(e is f for e, f in zip(report.boundary_path, spine, strict=True))
+    refused = spine[:-1] + [Edge(0, 2)]
+    assert parse_blocker(ctx, refused).name == VIOLATION_EVEN_ORDER
+    path = validate_caterpillar(ctx, refused).boundary_path
+    assert all(e is f for e, f in zip(path, spine[:-1], strict=True))
+    assert "edge_of" not in ctx.__dict__
+    assert "edge_table" not in ctx.__dict__
+
+
 @pytest.mark.parametrize("m", range(2, 7))
 def test_generated_blockers_structure(m):
     ctx = PolygonContext(m)

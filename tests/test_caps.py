@@ -93,14 +93,11 @@ def test_oracle_refuses_its_search_cap_before_the_index(capsys, monkeypatch,
     assert cli_refusal(capsys, "oracle", "--m", m, "--mode", mode) == message
 
 
-def test_verify_applies_the_enumeration_cap_up_front(capsys, monkeypatch):
+def test_verify_applies_the_enumeration_cap_up_front(monkeypatch):
+    # A pruned cap past the enumeration cap still meets it before any work.
     monkeypatch.setattr(verify, "build_family_index", no_index)
-    with pytest.raises(ResourceLimitError, match="m=6 exceeds the enumeration cap 5"):
-        verify_theorem(2, 8, 5, max_m=5)
-    monkeypatch.setenv(cli.ENV_MAX_M, "5")
-    assert (cli_refusal(capsys, "verify", "--m-min", "2", "--m-max", "8",
-                        "--naive-up-to", "5")
-            == "m=6 exceeds the enumeration cap 5")
+    with pytest.raises(ResourceLimitError, match="m=13 exceeds the enumeration cap 12"):
+        verify_theorem(12, 13, pruned_cap=13)
 
 
 def test_special_blockers_refuse_the_pruned_cap_before_the_index(monkeypatch):

@@ -397,39 +397,17 @@ def test_infeasible_triangle_status(capsys):
     assert "error:" in err
 
 
-def test_env_cap_override(capsys, monkeypatch):
-    monkeypatch.setenv("CONVEX_BLOCKERS_MAX_M", "3")
+@pytest.mark.parametrize("value", ["3", "40", "lots"])
+def test_environment_does_not_move_the_enumeration_cap(capsys, monkeypatch, value):
+    # No value of the variable moves the cap or refuses anything.
+    monkeypatch.setenv("CONVEX_BLOCKERS_MAX_M", value)
+    refusal = (1, "", "error: m=13 exceeds the enumeration cap 12\n")
+    assert run(capsys, "blocker", "enumerate", "--m", "13") == refusal
+    assert run(capsys, "spm", "enumerate", "--m", "13") == refusal
     status, out, err = run(capsys, "spm", "enumerate", "--m", "4")
-    assert status == 1
-    assert out == ""
-    assert "cap" in err
-    status, _, err = run(capsys, "blocker", "enumerate", "--m", "4")
-    assert status == 1
-    monkeypatch.setenv("CONVEX_BLOCKERS_MAX_M", "4")
-    status, out, _ = run(capsys, "spm", "enumerate", "--m", "4")
-    assert status == 0
-    assert len(out.splitlines()) == 14
-
-
-def test_env_cap_does_not_limit_blocker_check(capsys, monkeypatch):
-    monkeypatch.setenv("CONVEX_BLOCKERS_MAX_M", "3")
-    status, out, _ = run(capsys, "blocker", "check", "--m", "6",
-                         "--edges", "0-1,1-2,2-3,2-5,2-7,1-10")
-    assert status == 0
-    assert json.loads(out)["blocks_all_spms"] is True
-    status, _, err = run(capsys, "spm", "enumerate", "--m", "6")
-    assert status == 1
-    assert "cap" in err
-    status, _, err = run(capsys, "blocker", "enumerate", "--m", "6")
-    assert status == 1
-    assert "cap" in err
-
-
-def test_env_cap_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("CONVEX_BLOCKERS_MAX_M", "lots")
-    status, _, err = run(capsys, "spm", "enumerate", "--m", "3")
-    assert status == 1
-    assert "error:" in err
+    assert (status, len(out.splitlines()), err) == (0, 14, "")
+    status, out, err = run(capsys, "blocker", "enumerate", "--m", "4")
+    assert (status, len(out.splitlines()), err) == (0, 32, "")
 
 
 # ---------------------------------------------------------------------------

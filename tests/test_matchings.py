@@ -132,9 +132,6 @@ def test_enumeration_cap():
     # On the call itself, before any matching is asked for.
     with pytest.raises(ResourceLimitError, match="m=13 exceeds the enumeration cap 12"):
         spm_pairs(PolygonContext(13))
-    with pytest.raises(ResourceLimitError):
-        enumerate_spms(PolygonContext(5), max_m=4)
-    assert len(enumerate_spms(PolygonContext(5), max_m=5)) == 42
 
 
 # ---------------------------------------------------------------------------

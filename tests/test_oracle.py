@@ -36,8 +36,8 @@ def test_index_spm_counts(m, count):
 
 
 def test_index_cap():
-    with pytest.raises(ResourceLimitError):
-        build_family_index(PolygonContext(4), max_m=3)
+    with pytest.raises(ResourceLimitError, match="m=13 exceeds the enumeration cap 12"):
+        build_family_index(PolygonContext(13))
 
 
 def _mask(ctx, edge_set):
