@@ -309,6 +309,32 @@ ENUMERATE_DIGESTS = [
     ("json", 6, "51d971b6b46eec1546f68059b47e03d0c42cacc9d4823b21b01bb55348824f10"),
 ]
 CHECK_CORPUS_DIGEST = "d73c23860c66d15e7778c93fa36380d4aab3d74c15e987cc5257525b080059c3"
+# SHA-256 digests of `spm enumerate` stdout, recorded from the per-length
+# enumerator that `_slow_pair_matchings` keeps in `test_matchings.py`:
+# lines for m = 1..11 and JSON for m = 1..10.
+SPM_ENUMERATE_DIGESTS = [
+    ("lines", 1, "06c7168eabf724fe9d8184b87c401160ff4c740c5782a6445495523f811d3cfd"),
+    ("lines", 2, "7db7c35947c0282e9ff67104865830a38840ca4edc07af4f46689deebfb11bb4"),
+    ("lines", 3, "3e329814dcb2ed731582410db7aa719fc4882d725f485aac4376706a9baaac4c"),
+    ("lines", 4, "da75db8986f078ecb8f301aff6f4c7614e7444fe36d9a93485cac554a4d38193"),
+    ("lines", 5, "adbad61068387675b80f14a9b78aa9d7664707e76c7be2698bafd0e7b9f342c0"),
+    ("lines", 6, "5e24e943127afef50ac6570f223e7fbde1ce704bc8daa067aab1eae40c07b1b2"),
+    ("lines", 7, "fd705dd21c683d650ec1f02cfcaf3d8ba8da512f800b2dc28987298889888eeb"),
+    ("lines", 8, "38a7da0292f6963368df66eba3ed1e866333283979200dc0e9221d38404adbd1"),
+    ("lines", 9, "12eb44bb0546f0d192418a91ca4c39394dc7666b3eb36fd474e56f2ae7273c09"),
+    ("lines", 10, "33d407ae9693c9d2ae7562d67aa3e14e901718072982c7f334b0535d5fe2b62e"),
+    ("lines", 11, "d775a3ae8662551bd7c180e72c1fb44e8c8e751f57ef7b93e1ddbb58fafac880"),
+    ("json", 1, "ad2658a8cd6fa0075259abcac7146a690166408c24dd5b9aa418f86f4ae9958a"),
+    ("json", 2, "e7e374146bab8120f451c0de5851022240953df7811d5a5caed1f74e0650ff0a"),
+    ("json", 3, "99fe81bf057ab056448f0cbde35572fcf022fc6f1aeb06545d542712ce8c5cf4"),
+    ("json", 4, "3d1f180d9dda6aa5f4f4f38e6f9b2a42d62cf3f21a88e1d81d6818ef002ab859"),
+    ("json", 5, "460dcd0aa67db1a095dfc3503bdebb76686fc391c0c2484d221d79eaf1bb533f"),
+    ("json", 6, "d5785f7319f1c4c279b87226042834749f98615c9fa021d5d729a21078074321"),
+    ("json", 7, "28792b61076a8e86ead349575e7ad0c542cfbbbfe6e73cf7cb017e08525676cf"),
+    ("json", 8, "693c71421c72e7d8ae18e5cd63da51e6db8e451a8e408788553bc55f6d85a576"),
+    ("json", 9, "10ff017f24619b73da3487e786d1c5d7be594b65908d1513581eec2ec5ac1e5f"),
+    ("json", 10, "4f54714348f4a8552846a8f74b74058b5407f2913509866f389ba1bff7696fee"),
+]
 
 
 def test_verify_stdout_is_pinned(capsys):
@@ -325,6 +351,14 @@ def test_verify_stdout_is_pinned(capsys):
 def test_blocker_enumerate_stdout_is_pinned(capsys, fmt, m, digest):
     status, out, err = run(capsys, "blocker", "enumerate", "--m", str(m),
                            "--format", fmt)
+    assert (status, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt,m,digest", SPM_ENUMERATE_DIGESTS,
+                         ids=[f"{fmt}-{m}" for fmt, m, _digest in SPM_ENUMERATE_DIGESTS])
+def test_spm_enumerate_stdout_is_pinned(capsys, fmt, m, digest):
+    status, out, err = run(capsys, "spm", "enumerate", "--m", str(m), "--format", fmt)
     assert (status, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

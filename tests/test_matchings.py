@@ -61,6 +61,32 @@ def _spms_by_bruteforce(m: int) -> set[frozenset[Edge]]:
     return out
 
 
+def _slow_pair_matchings(m: int):
+    """The per-length enumerator: the matchings of an interval depend only on
+    its length up to a vertex shift, so each length below 2m is built once on
+    0..L-1, moved into place by shift maps, and only the top length streams."""
+    n = 2 * m
+    # shift[s] moves a pair s vertices up; map() through it moves a block.
+    shift = [{(a, b): (a + s, b + s) for a in range(n) for b in range(a + 1, n, 2)
+              }.__getitem__ for s in range(n + 1)]
+    blocks = [[()]]  # blocks[h]: the matchings of the vertices 0..2h-1
+
+    def splits(h: int):
+        # Edge (0, k), the inner block [1, k) and the outer block [k+1, 2h).
+        for j in range(h):
+            k = 2 * j + 1
+            yield ((0, k), [tuple(map(shift[1], t)) for t in blocks[j]],
+                   [tuple(map(shift[k + 1], t)) for t in blocks[h - 1 - j]])
+
+    for h in range(1, m):
+        blocks.append([(e,) + inner + outer for e, inners, outers in splits(h)
+                       for inner in inners for outer in outers])
+    for e, inners, outers in splits(m):
+        for inner in inners:
+            for outer in outers:
+                yield (e,) + inner + outer
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -116,6 +142,15 @@ def test_spm_pairs_are_exact_int_tuples_equal_to_the_edges(m):
     assert {type(p) for s in pairs for p in s} == {tuple}
     assert {type(v) for s in pairs for p in s for v in p} == {int}
     assert {type(e) for s in spms for e in s} == {Edge}
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_spm_pairs_match_the_per_length_enumerator(m):
+    pairs = list(spm_pairs(PolygonContext(m)))
+    assert pairs == list(_slow_pair_matchings(m))
+    assert {type(s) for s in pairs} == {tuple}
+    assert {type(p) for s in pairs for p in s} == {tuple}
+    assert {type(v) for s in pairs for p in s for v in p} == {int}
 
 
 @pytest.mark.parametrize("m", range(1, 8))
