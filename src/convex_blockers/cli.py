@@ -52,9 +52,9 @@ from .geometry import (
 )
 from .matchings import (
     DEFAULT_MAX_M,
+    _spm_splits,
     first_avoiding_spm,
     parallel_spm,
-    spm_pairs,
     triangular_spm,
 )
 from .oracle import (
@@ -79,19 +79,31 @@ def _count_cap() -> int:
     return m
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, separators=(",", ":")))
+def _json(payload) -> str:
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def _matching_texts(splits, first: str, last: str):
+    """Each matching as `first + units + last`, less the units' leading comma."""
+    for head, inners, outers in splits:
+        head = first + head[1:]
+        for inner in inners:
+            for outer in outers:
+                yield f"{head}{inner}{outer}{last}"
 
 
 def cmd_spm_enumerate(ns: argparse.Namespace) -> int:
     ctx = PolygonContext(ns.m)
-    spms = spm_pairs(ctx)
     if ns.format == "json":
-        _print_json(list(spms))
+        # `_json` of the pair lists, one `,[[a,b],...]` at a time, first comma cut.
+        splits = _spm_splits(ctx, lambda a, b: "," + _json((a, b)), "")
+        texts = _matching_texts(splits, ",[", "]")
+        sys.stdout.write("[" + next(texts)[1:])
+        sys.stdout.writelines(texts)
+        sys.stdout.write("]\n")
     else:
-        # The pairs come sorted, so each line joins the texts of its edges.
-        text = {e: edge_to_text(e) for e in ctx.edges()}.__getitem__
-        sys.stdout.writelines(",".join(map(text, s)) + "\n" for s in spms)
+        splits = _spm_splits(ctx, lambda a, b: "," + edge_to_text(ctx.edge_of[a, b]), "")
+        sys.stdout.writelines(_matching_texts(splits, "", "\n"))
     return 0
 
 
@@ -118,7 +130,7 @@ def cmd_blocker_enumerate(ns: argparse.Namespace) -> int:
     check_cap(ns.m, DEFAULT_MAX_M, "enumeration")
     specs = enumerate_blocker_specs(ctx)
     if ns.format == "json":
-        _print_json([blocker_to_json(ctx, spec) for spec in specs])
+        print(_json([blocker_to_json(ctx, spec) for spec in specs]))
     else:
         for spec in specs:
             print(edges_to_text(generate_blocker(ctx, spec)))
@@ -149,7 +161,7 @@ def cmd_blocker_check(ns: argparse.Namespace) -> int:
         payload["missed_spm"] = None if miss is None else edges_to_lists(miss)
     payload["caterpillar"] = report.to_json()
     payload["blocks_all_spms"] = miss is None
-    _print_json(payload)
+    print(_json(payload))
     return 0 if payload["ok"] else 1
 
 
@@ -159,14 +171,14 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
     check_search_cap(ns.m, mode)
     index = build_family_index(ctx)
     result = find_minimum_blockers(index, mode)
-    _print_json(oracle_report_json(index, result))
+    print(_json(oracle_report_json(index, result)))
     return 0
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     reports = verify_theorem(ns.m_min, ns.m_max, ns.naive_up_to)
     for report in reports:
-        _print_json(report.to_json())
+        print(_json(report.to_json()))
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -1,8 +1,9 @@
 """Non-crossing perfect matchings of the convex polygon.
 
-The exhaustive enumeration (Catalan many) works on plain (a, b) int
-pairs: `spm_pairs` streams them, and `enumerate_spms` turns them into
-sets of the context's canonical `Edge` objects at the API boundary.
+The exhaustive enumeration (Catalan many) is one interval-split
+recurrence over the vertex intervals [i, j), generic over how an edge is
+written: `spm_pairs` streams (a, b) int pairs, `enumerate_spms` makes sets
+of the context's canonical `Edge` objects, and the CLI joins block texts.
 Besides it, two special families are constructed directly:
 
 * parallel matchings: the full parallel class of a boundary edge;
@@ -60,32 +61,35 @@ def is_spm(ctx: PolygonContext, edges) -> bool:
                    for e, f in itertools.combinations(edge_list, 2))
 
 
-def _pair_matchings(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    # Match the lowest vertex to every vertex k at odd distance; the split
-    # into two even sub-intervals is what makes every produced matching
-    # non-crossing, with no post-filtering.  The matchings of an interval
-    # depend only on its length up to a vertex shift, so each length below
-    # 2m is built once on 0..L-1 and only the top length is streamed.
-    n = 2 * m
-    # shift[s] moves a pair s vertices up; map() through it moves a block.
-    shift = [{(a, b): (a + s, b + s) for a in range(n) for b in range(a + 1, n, 2)
-              }.__getitem__ for s in range(n + 1)]
-    blocks = [[()]]  # blocks[h]: the matchings of the vertices 0..2h-1
+def _spm_splits(ctx: PolygonContext, unit, empty):
+    """The matchings as one `(unit(0, k), inners, outers)` per partner k
+    of vertex 0, ascending: the matchings of 1..k-1 and of k+1..2m-1, each
+    written `unit(a, b) + ...` over its sorted edges (`empty` for none), so
+    `head + inner + outer`, inner-major, lists them lexicographically.
+    Refuses m past `DEFAULT_MAX_M` on the call."""
+    check_cap(ctx.m, DEFAULT_MAX_M, "enumeration")
+    memo = {(i, i): [empty] for i in range(ctx.n + 1)}
 
-    def splits(h: int):
-        # Edge (0, k), the inner block [1, k) and the outer block [k+1, 2h).
-        for j in range(h):
-            k = 2 * j + 1
-            yield ((0, k), [tuple(map(shift[1], t)) for t in blocks[j]],
-                   [tuple(map(shift[k + 1], t)) for t in blocks[h - 1 - j]])
+    def splits(i: int, j: int, blocks):
+        # Vertex i takes each k at odd distance; splitting off the even
+        # intervals [i+1, k) and [k+1, j) leaves no crossing to filter out.
+        return ((unit(i, k), blocks(i + 1, k), blocks(k + 1, j))
+                for k in range(i + 1, j, 2))
 
-    for h in range(1, m):
-        blocks.append([(e,) + inner + outer for e, inners, outers in splits(h)
-                       for inner in inners for outer in outers])
-    for e, inners, outers in splits(m):
-        for inner in inners:
-            for outer in outers:
-                yield (e,) + inner + outer
+    def block(i: int, j: int) -> list:
+        # Every proper sub-interval [i, j) is built once and kept.
+        if (i, j) not in memo:
+            memo[i, j] = [head + inner + outer for head, inners, outers
+                          in splits(i, j, block) for inner in inners for outer in outers]
+        return memo[i, j]
+
+    def top_block(i: int, j: int) -> list:
+        # [1, k) is no other interval's block and [k+1, 2m) no later top
+        # split's, so the top blocks are dropped after use, not kept.
+        block(i, j)
+        return memo.pop((i, j))
+
+    return splits(0, ctx.n, top_block)
 
 
 def spm_pairs(ctx: PolygonContext) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -95,12 +99,13 @@ def spm_pairs(ctx: PolygonContext) -> Iterator[tuple[tuple[int, int], ...]]:
 
     The order is that of `enumerate_spms`: each tuple lists its edges by
     first vertex, the first edge (0, k) comes out with k ascending, and for
-    a fixed first edge the inner and outer blocks have fixed lengths and are
-    sorted recursively.  Memory is set by the largest sub-interval, not by
-    the Catalan many matchings.  Refuses m past `DEFAULT_MAX_M` on the call.
+    a fixed first edge the inner and outer blocks are sorted recursively.
+    Memory holds the blocks of the sub-intervals, not the Catalan many
+    matchings of the polygon.  Refuses m past `DEFAULT_MAX_M` on the call.
     """
-    check_cap(ctx.m, DEFAULT_MAX_M, "enumeration")
-    return _pair_matchings(ctx.m)
+    return (head + inner + outer
+            for head, inners, outers in _spm_splits(ctx, lambda a, b: ((a, b),), ())
+            for inner in inners for outer in outers)
 
 
 def enumerate_spms(ctx: PolygonContext) -> list[Matching]:

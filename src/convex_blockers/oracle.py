@@ -68,12 +68,13 @@ class SpmFamilyIndex:
 
 
 def build_family_index(ctx: PolygonContext) -> SpmFamilyIndex:
+    family = enumerate_spms(ctx)  # refuses m past the cap before any table
     spms = []
     hits = [0] * ctx.edge_count
     # The enumerator's edges are valid by construction, so the context's
     # table ranks them without the checks of `ctx.edge_index`.
     rank = ctx.edge_rank
-    for position, s in enumerate(enumerate_spms(ctx)):
+    for position, s in enumerate(family):
         bits = 0
         for e in s:
             i = rank[e]

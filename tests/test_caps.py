@@ -49,6 +49,11 @@ def cli_refusal(capsys, *argv) -> str:
     (13, "enumeration", 12,
      lambda capsys: refusal(lambda: spm_pairs(PolygonContext(13)))),
     (13, "enumeration", 12,
+     lambda capsys: cli_refusal(capsys, "spm", "enumerate", "--m", "13")),
+    (13, "enumeration", 12,
+     lambda capsys: cli_refusal(capsys, "spm", "enumerate", "--m", "13",
+                                "--format", "json")),
+    (13, "enumeration", 12,
      lambda capsys: cli_refusal(capsys, "blocker", "enumerate", "--m", "13")),
     (6, "naive search", 5,
      lambda capsys: refusal(lambda: find_minimum_blockers(
@@ -69,7 +74,7 @@ def cli_refusal(capsys, *argv) -> str:
     (14272, "count", 14271,
      lambda capsys: cli_refusal(capsys, "blocker", "count", "--m", "14272",
                                 "--by-spine")),
-], ids=["spm_pairs", "blocker-enumerate", "naive-find_minimum_blockers",
+], ids=["spm_pairs", "spm-enumerate", "spm-enumerate-json", "blocker-enumerate", "naive-find_minimum_blockers",
         "naive-verify", "naive-oracle", "pruned-find_minimum_blockers",
         "pruned-verify", "pruned-oracle", "blocker-count", "blocker-count-by-spine"])
 def test_every_refusal_has_the_one_cap_format(capsys, m, what, cap, refuse):

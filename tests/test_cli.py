@@ -78,15 +78,17 @@ def test_spm_enumerate_json_matches_edge_sets(capsys, m):
 
 
 @pytest.mark.parametrize("command", [("spm", "enumerate", "--m", "10"),
+                                     ("spm", "enumerate", "--m", "10", "--format", "json"),
                                      ("blocker", "enumerate", "--m", "10")])
 def test_closed_stdout_pipe_exits_quietly(command):
-    # Either output is several pipe buffers long, so the writer still has
-    # lines to write when the reader closes its end after the first line.
+    # Each output is several pipe buffers long, so the writer still has
+    # text to write when the reader closes its end after the first bytes;
+    # the JSON array is a single line, so the reader takes bytes, not a line.
     env = {k: v for k, v in os.environ.items() if k != "CONVEX_BLOCKERS_MAX_M"}
     env["PYTHONPATH"] = str(Path(convex_blockers.__file__).resolve().parents[1])
     with subprocess.Popen([sys.executable, "-m", "convex_blockers", *command],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-        assert proc.stdout.readline()
+        assert proc.stdout.read(64)
         proc.stdout.close()
         try:
             _, err = proc.communicate(timeout=60)

@@ -40,6 +40,14 @@ def test_index_cap():
         build_family_index(PolygonContext(13))
 
 
+def test_index_refuses_the_cap_before_the_edge_table():
+    ctx = PolygonContext(200)
+    with pytest.raises(ResourceLimitError, match="m=200 exceeds the enumeration cap 12"):
+        build_family_index(ctx)
+    assert "edge_table" not in ctx.__dict__
+    assert "edge_rank" not in ctx.__dict__
+
+
 def _mask(ctx, edge_set):
     return sum(1 << ctx.edge_index(e) for e in edge_set)
 

@@ -10,7 +10,9 @@ pruned search, so it stays a witness from the blocking definition alone.
 In the same way the tree test and the structural scan in `blockers.py`
 name neither other, the scan and `validate_caterpillar` name no part of the
 blocker generator and none of the context's edge tables (the report holds
-the input's own edges), and the Catalan count names no enumerator.
+the input's own edges), and neither the Catalan count nor the blocking
+table of `first_avoiding_spm`, which `blocker check` runs and the tests
+check against the enumeration, names an enumerator.
 """
 
 from __future__ import annotations
@@ -43,8 +45,11 @@ WITNESS_RULES = [
     ("blockers.py", "validate_caterpillar", TABLES,
      "context table in the structural witness"),
     ("matchings.py", "catalan_number",
-     ("_pair_matchings", "spm_pairs", "enumerate_spms", "first_avoiding_spm"),
+     ("_spm_splits", "spm_pairs", "enumerate_spms", "first_avoiding_spm"),
      "enumerator in the Catalan count"),
+    ("matchings.py", "first_avoiding_spm",
+     ("_spm_splits", "spm_pairs", "enumerate_spms"),
+     "enumerator in the blocking table"),
 ]
 
 
@@ -220,14 +225,16 @@ def test_naive_search_names_no_class_fact(source, expected):
      ["2: context table in the structural witness"]),
     ("blockers.py", "def generate_blocker(ctx, spec):\n"
      "    return frozenset([ctx.edge_of[spec.start, spec.start + 1]])\n", []),
-    ("matchings.py", "def catalan_number(n):\n    return len(list(_pair_matchings(n)))\n",
+    ("matchings.py", "def catalan_number(n):\n    return len(list(_spm_splits(ctx, u, ())))\n",
      ["2: enumerator in the Catalan count"]),
     ("matchings.py", "def catalan_number(n):\n    return math.comb(2 * n, n) // (n + 1)\n",
      []),
+    ("matchings.py", _naive_body("first_avoiding_spm", "next(spm_pairs(ctx))"),
+     ["3: enumerator in the blocking table"]),
 ], ids=["tree-names-scan", "tree-alone", "scan-names-tree", "both-in-validate",
         "validate-names-generator", "scan-names-generator", "parse-regenerates",
         "validate-names-table", "generator-uses-table",
-        "catalan-names-enumerator", "catalan-closed-form"])
+        "catalan-names-enumerator", "catalan-closed-form", "table-names-enumerator"])
 def test_witnesses_name_nothing_they_check(module, source, expected):
     assert findings(source, module) == expected
     assert findings(source, "oracle.py") == []
