@@ -84,7 +84,7 @@ def _json(payload) -> str:
 
 
 def _matching_texts(splits, first: str, last: str):
-    """Each matching as `first + units + last`, less the units' leading comma."""
+    """Each matching as `first + units + last`, its first unit's comma cut."""
     for head, inners, outers in splits:
         head = first + head[1:]
         for inner in inners:

@@ -74,9 +74,10 @@ def cli_refusal(capsys, *argv) -> str:
     (14272, "count", 14271,
      lambda capsys: cli_refusal(capsys, "blocker", "count", "--m", "14272",
                                 "--by-spine")),
-], ids=["spm_pairs", "spm-enumerate", "spm-enumerate-json", "blocker-enumerate", "naive-find_minimum_blockers",
-        "naive-verify", "naive-oracle", "pruned-find_minimum_blockers",
-        "pruned-verify", "pruned-oracle", "blocker-count", "blocker-count-by-spine"])
+], ids=["spm_pairs", "spm-enumerate", "spm-enumerate-json", "blocker-enumerate",
+        "naive-find_minimum_blockers", "naive-verify", "naive-oracle",
+        "pruned-find_minimum_blockers", "pruned-verify", "pruned-oracle", "blocker-count",
+        "blocker-count-by-spine"])
 def test_every_refusal_has_the_one_cap_format(capsys, m, what, cap, refuse):
     assert refuse(capsys) == f"m={m} exceeds the {what} cap {cap}"
 
