@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InputError, StructureError, check_min
 from .geometry import (
@@ -72,13 +72,11 @@ VIOLATION_BAD_ATTACHMENT = "bad_leg_attachment"
 VIOLATION_LEG_GAP = "leg_gap_violation"
 
 
-@dataclass(frozen=True)
-class BlockerSpec:
-    """Canonical blocker parameters (start vertex, spine length, offsets)."""
+class BlockerSpec(namedtuple("_BlockerSpec", "start t eps", defaults=((),))):
+    """Canonical blocker parameters: the spine's first vertex `start`, the
+    spine length `t` and the tuple `eps` of m - t leg offsets."""
 
-    start: int
-    t: int
-    eps: tuple[int, ...] = ()
+    __slots__ = ()
 
     def validate(self, ctx: PolygonContext) -> "BlockerSpec":
         m = ctx.m
@@ -102,31 +100,30 @@ class BlockerSpec:
         return self
 
 
-@dataclass(frozen=True)
-class StructuralViolation:
-    """One failed structural condition, with the offending edges."""
+class StructuralViolation(namedtuple("_StructuralViolation", "name witness",
+                                     defaults=((),))):
+    """One failed structural condition: its `name` and the tuple `witness`
+    of the offending edges."""
 
-    name: str
-    witness: tuple[Edge, ...] = ()
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"violation": self.name, "witness": edges_to_lists(self.witness)}
 
 
-@dataclass
-class CaterpillarReport:
+class CaterpillarReport(namedtuple(
+        "_CaterpillarReport", "is_tree boundary_path spine_length violations")):
     """Structural description of an edge set checked against blocker shape.
 
-    `violations` is empty exactly when the set could have come out of
-    `generate_blocker`; the remaining fields are best-effort descriptions
-    either way: `boundary_path` is the longest run of boundary edges and
-    `spine_length` its length.  `to_json` carries every field.
+    `violations` is the list of `StructuralViolation`s, empty exactly when
+    the set could have come out of `generate_blocker`; the remaining fields
+    are best-effort descriptions either way: `is_tree` tells whether the
+    edges form one tree, `boundary_path` is the tuple of edges of the
+    longest run of boundary edges and `spine_length` its length.  `to_json`
+    carries every field.
     """
 
-    is_tree: bool
-    boundary_path: tuple[Edge, ...]
-    spine_length: int
-    violations: list[StructuralViolation]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -27,7 +27,6 @@ Key facts baked into the representation:
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -81,7 +80,6 @@ class Edge(namedtuple("_EdgePair", "a b")):
         return f"Edge({self.a}, {self.b})"
 
 
-@dataclass(frozen=True)
 class PolygonContext:
     """The complete geometric graph on a convex polygon with 2m vertices.
 
@@ -89,17 +87,35 @@ class PolygonContext:
     (lexicographic rank of the normalized pair), which fixes the bitmask
     layout used everywhere else.  `edge_table`, `edge_of` and `edge_rank`
     hold the context's canonical edges; they are built on first use and
-    then shared.
+    then shared.  `m` and `n` are read-only; contexts compare and hash by m.
     """
 
     m: int
-    n: int = field(init=False, repr=False, compare=False)  # vertices, 2m
+    n: int  # vertices, 2m
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.m, int):
-            raise InputError(f"m must be an integer, got {self.m}")
-        check_min(self.m, 1)
-        object.__setattr__(self, "n", 2 * self.m)
+    def __init__(self, m: int) -> None:
+        if not isinstance(m, int):
+            raise InputError(f"m must be an integer, got {m}")
+        check_min(m, 1)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", 2 * m)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m
+
+    def __hash__(self) -> int:
+        return hash(self.m)
+
+    def __repr__(self) -> str:
+        return f"PolygonContext(m={self.m})"
 
     @property
     def edge_count(self) -> int:

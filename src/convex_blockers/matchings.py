@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator
 
 from .errors import InfeasibilityError, InputError, check_cap
@@ -175,9 +175,8 @@ def parallel_spm(ctx: PolygonContext, l: int) -> Matching:
     return frozenset(parallel_class(ctx, (2 * l - 1) % ctx.n))
 
 
-@dataclass(frozen=True)
-class TriangularSpec:
-    """Three boundary-edge positions and the fan sizes they force.
+class TriangularSpec(namedtuple("_TriangularSpec", "i1 i2 i3 p q r a b c")):
+    """Three boundary-edge positions and the fan sizes they force, all ints.
 
     Positions i1 < i2 < i3 name the boundary edges [i1-1,i1], [i2-1,i2],
     [i3-1,i3] (position 2m stands for the wrap edge [2m-1, 0]).  With
@@ -187,15 +186,7 @@ class TriangularSpec:
     distance is below m.
     """
 
-    i1: int
-    i2: int
-    i3: int
-    p: int
-    q: int
-    r: int
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
     @classmethod
     def from_positions(cls, ctx: PolygonContext, i1: int, i2: int, i3: int) -> "TriangularSpec":

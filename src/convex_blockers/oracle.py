@@ -19,7 +19,7 @@ turn until one admits a blocking set.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator
 
 from .errors import InputError, check_cap
@@ -48,14 +48,15 @@ DEFAULT_NAIVE_CAP = 5
 DEFAULT_PRUNED_CAP = 8
 
 
-@dataclass(frozen=True)
-class SpmFamilyIndex:
+class SpmFamilyIndex(namedtuple("_SpmFamilyIndex", "ctx spms per_edge_hits")):
     """All simple perfect matchings of one polygon as edge-index bitmasks,
-    plus the reverse map from each edge index to the matchings containing it."""
+    plus the reverse map from each edge index to the matchings containing it.
 
-    ctx: PolygonContext
-    spms: tuple[int, ...]
-    per_edge_hits: tuple[int, ...]
+    `spms` holds one int mask per matching, in enumeration order;
+    `per_edge_hits[i]` has bit j set when matching j contains edge i.
+    """
+
+    __slots__ = ()
 
     @property
     def spm_count(self) -> int:
@@ -115,15 +116,14 @@ def missed_spms(index: SpmFamilyIndex, edges) -> list[frozenset[Edge]]:
             for position in _positions(_unhit(index, edges))]
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """Everything a search run found, with its exploration stats."""
+class OracleResult(namedtuple(
+        "_OracleResult", "mode minimum_size minimum_sets nodes millis")):
+    """Everything a search run found, with its exploration stats: the
+    `mode`, the `minimum_size` of a blocking set, the tuple `minimum_sets`
+    of every one of that size (frozensets of edges), the search tree's
+    `nodes` and its wall time in `millis`."""
 
-    mode: str
-    minimum_size: int
-    minimum_sets: tuple[frozenset[Edge], ...]
-    nodes: int
-    millis: float
+    __slots__ = ()
 
 
 def check_search_cap(m: int, mode: str, *, pruned_cap: int = DEFAULT_PRUNED_CAP) -> None:

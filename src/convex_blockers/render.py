@@ -9,7 +9,7 @@ identical bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .geometry import Edge, PolygonContext
 
@@ -28,25 +28,25 @@ _STYLES = {
 }
 
 
-@dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(namedtuple("_RenderSpec", "m solid thick dotted labels")):
     """What to draw: highlighted edge sets by style, plus a label toggle.
 
     `solid` is the main highlighted set (a blocker or a matching),
     `thick` emphasizes chosen edges on top of it, `dotted` draws context
-    edges; the polygon outline is always present.
+    edges; each is kept as a sorted tuple of edges.  The polygon outline
+    is always present, and vertex labels when `labels` is true.
     """
 
-    m: int
-    solid: tuple[Edge, ...] = ()
-    thick: tuple[Edge, ...] = ()
-    dotted: tuple[Edge, ...] = ()
-    labels: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "solid", tuple(sorted(self.solid)))
-        object.__setattr__(self, "thick", tuple(sorted(self.thick)))
-        object.__setattr__(self, "dotted", tuple(sorted(self.dotted)))
+    def __new__(cls, m: int, solid=(), thick=(), dotted=(),
+                labels: bool = True) -> "RenderSpec":
+        return super().__new__(cls, m, tuple(sorted(solid)), tuple(sorted(thick)),
+                               tuple(sorted(dotted)), labels)
+
+    @classmethod
+    def _make(cls, iterable) -> "RenderSpec":  # `_replace` too: sorted sets
+        return cls(*iterable)
 
 
 def _fmt(value: float) -> str:

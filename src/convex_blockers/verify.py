@@ -10,8 +10,8 @@ that each generated set really blocks every matching.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from .blockers import enumerate_blockers, count_blockers, validate_caterpillar
 from .errors import InputError, check_cap, check_min
@@ -42,29 +42,21 @@ def _timed(durations: dict[str, float], label: str):
         durations[label] = (time.perf_counter() - t0) * 1000.0
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(namedtuple("_VerificationReport", (
+        "m spm_count expected_spm_count generated_count oracle_count "
+        "formula_count set_equality structural_pass blocks_all_spms "
+        "naive_agrees lower_bound_pass durations_ms oracle_only generated_only"))):
     """Machine-readable verdict for one polygon size.
 
     `set_equality` is the substantive statement: the generated blockers
     and the search-found minimum blocking sets coincide.  `naive_agrees`
     and `lower_bound_pass` are None when the naive search was not run.
+    The counts are ints and the checks bools; `durations_ms` maps each
+    phase to its wall time, and `oracle_only` and `generated_only` list
+    the first mismatched sets, each as sorted [a, b] pairs.
     """
 
-    m: int
-    spm_count: int
-    expected_spm_count: int
-    generated_count: int
-    oracle_count: int
-    formula_count: int
-    set_equality: bool
-    structural_pass: bool
-    blocks_all_spms: bool
-    naive_agrees: bool | None
-    lower_bound_pass: bool | None
-    durations_ms: dict[str, float] = field(default_factory=dict)
-    oracle_only: list[list[list[int]]] = field(default_factory=list)
-    generated_only: list[list[list[int]]] = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

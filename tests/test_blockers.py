@@ -272,8 +272,10 @@ def test_parse_refuses_a_spec_that_does_not_regenerate_the_set(monkeypatch):
     ctx = PolygonContext(6)
     monkeypatch.setattr(blockers, "generate_blocker",
                         lambda ctx, spec: frozenset())
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError) as refused:
         parse_blocker(ctx, FIGURE_BLOCKER)
+    assert str(refused.value) == ("parsed parameters BlockerSpec(start=0, t=3, "
+                                  "eps=(1, 2, 4)) do not regenerate the edge set")
 
 
 def test_parse_and_validate_reject_non_edge_members():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from convex_blockers.blockers import BlockerSpec, CaterpillarReport, StructuralViolation
 from convex_blockers.errors import InputError
 from convex_blockers.geometry import (
     Edge,
@@ -27,6 +28,10 @@ from convex_blockers.geometry import (
     is_boundary_edge,
     parallel_class,
 )
+from convex_blockers.matchings import TriangularSpec
+from convex_blockers.oracle import OracleResult, SpmFamilyIndex
+from convex_blockers.render import RenderSpec
+from convex_blockers.verify import VerificationReport
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +346,70 @@ def test_context_stores_n_and_keeps_its_value_semantics():
     assert ctx.edge_table is ctx.edge_table
     assert twin == ctx and hash(twin) == hash(ctx)
     assert twin.edge_table == ctx.edge_table and twin.edge_table is not ctx.edge_table
+    assert PolygonContext(m=3) == ctx != PolygonContext(4) and ctx != 3
+    assert pickle.loads(pickle.dumps(ctx)) == ctx
     with pytest.raises(TypeError):
         PolygonContext(3, 6)
+    for name in ("m", "n", "edge_table", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(ctx, name, 4)
+        with pytest.raises(AttributeError):
+            delattr(ctx, name)
+    assert (ctx.m, ctx.n) == (3, 6) and "extra" not in ctx.__dict__
+
+
+# Each value type built by keyword, with its repr, a field, and whether its
+# fields hash (the reports hold a list or dict).
+VALUE_TYPES = [
+    (lambda: BlockerSpec(start=0, t=3, eps=(1, 2, 4)),
+     "BlockerSpec(start=0, t=3, eps=(1, 2, 4))", "eps", True),
+    (lambda: StructuralViolation(name="crossing_pair", witness=(Edge(0, 3), Edge(1, 4))),
+     "StructuralViolation(name='crossing_pair', witness=(Edge(0, 3), Edge(1, 4)))",
+     "witness", True),
+    (lambda: CaterpillarReport(is_tree=True, boundary_path=(Edge(0, 1), Edge(1, 2)),
+                               spine_length=2, violations=[]),
+     "CaterpillarReport(is_tree=True, boundary_path=(Edge(0, 1), Edge(1, 2)), "
+     "spine_length=2, violations=[])", "violations", False),
+    (lambda: TriangularSpec(i1=1, i2=3, i3=5, p=2, q=2, r=2, a=1, b=1, c=1),
+     "TriangularSpec(i1=1, i2=3, i3=5, p=2, q=2, r=2, a=1, b=1, c=1)", "a", True),
+    (lambda: SpmFamilyIndex(ctx=PolygonContext(2), spms=(5, 10), per_edge_hits=(1, 2)),
+     "SpmFamilyIndex(ctx=PolygonContext(m=2), spms=(5, 10), per_edge_hits=(1, 2))",
+     "spms", True),
+    (lambda: OracleResult(mode="naive", minimum_size=2, minimum_sets=(), nodes=7,
+                          millis=0.5),
+     "OracleResult(mode='naive', minimum_size=2, minimum_sets=(), nodes=7, millis=0.5)",
+     "nodes", True),
+    (lambda: RenderSpec(m=3, solid=(Edge(2, 5), Edge(0, 1)), labels=False),
+     "RenderSpec(m=3, solid=(Edge(0, 1), Edge(2, 5)), thick=(), dotted=(), "
+     "labels=False)", "solid", True),
+    (lambda: VerificationReport(
+        m=2, spm_count=2, expected_spm_count=2, generated_count=4, oracle_count=4,
+        formula_count=4, set_equality=True, structural_pass=True,
+        blocks_all_spms=True, naive_agrees=None, lower_bound_pass=None,
+        durations_ms={}, oracle_only=[], generated_only=[]),
+     "VerificationReport(m=2, spm_count=2, expected_spm_count=2, generated_count=4, "
+     "oracle_count=4, formula_count=4, set_equality=True, structural_pass=True, "
+     "blocks_all_spms=True, naive_agrees=None, lower_bound_pass=None, "
+     "durations_ms={}, oracle_only=[], generated_only=[])", "m", False),
+]
+
+
+@pytest.mark.parametrize("make, text, field, hashable", VALUE_TYPES,
+                         ids=[text.split("(")[0] for _, text, _, _ in VALUE_TYPES])
+def test_value_types_keep_their_semantics(make, text, field, hashable):
+    value, twin = make(), make()
+    assert repr(value) == str(value) == text
+    assert value == twin and value is not twin
+    assert pickle.loads(pickle.dumps(value)) == value
+    if hashable:
+        assert hash(value) == hash(twin)
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(twin, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
 
 
 def test_boundary_position_round_trip():

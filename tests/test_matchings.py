@@ -14,6 +14,7 @@ from convex_blockers.errors import InfeasibilityError, InputError, ResourceLimit
 from convex_blockers.geometry import Edge, PolygonContext, are_parallel, edge_order, is_boundary_edge
 from convex_blockers.matchings import (
     TriangularSpec,
+    _spm_splits,
     catalan_number,
     enumerate_spms,
     first_avoiding_spm,
@@ -151,6 +152,21 @@ def test_spm_pairs_match_the_per_length_enumerator(m):
     assert {type(s) for s in pairs} == {tuple}
     assert {type(p) for s in pairs for p in s} == {tuple}
     assert {type(v) for s in pairs for p in s for v in p} == {int}
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_spm_splits_try_only_partners_at_odd_distance(m):
+    # An even distance leaves an odd interval with no matchings, whose empty
+    # block drops every product, so only the calls to `unit` show the waste.
+    calls = []
+
+    def unit(i, k):
+        calls.append((i, k))
+        return ((i, k),)
+
+    tops = list(_spm_splits(PolygonContext(m), unit, ()))
+    assert [head for head, _, _ in tops] == [((0, k),) for k in range(1, 2 * m, 2)]
+    assert calls and all((k - i) % 2 == 1 for i, k in calls)
 
 
 @pytest.mark.parametrize("m", range(1, 8))

@@ -48,7 +48,12 @@ def test_minimal_square_figure():
 def test_edge_set_order_does_not_matter():
     a = RenderSpec(m=3, solid=(Edge(0, 1), Edge(2, 5)))
     b = RenderSpec(m=3, solid=(Edge(2, 5), Edge(0, 1)))
-    assert render_figure(a) == render_figure(b)
+    assert a == b and render_figure(a) == render_figure(b)
+    ordered = (Edge(0, 1), Edge(1, 4), Edge(2, 5))
+    backwards = ordered[::-1]
+    spec = RenderSpec(3, backwards, thick=backwards, dotted=set(backwards))
+    assert spec.solid == spec.thick == spec.dotted == ordered
+    assert RenderSpec(3)._replace(thick=backwards).thick == ordered
 
 
 def test_labels_toggle():

@@ -4,7 +4,9 @@ No program logic rests on `assert`, `errors.check_cap` is the only place
 that raises ResourceLimitError, and `errors.check_min` is the only place
 that refuses m below a lower bound.  Outside `geometry.py` no code projects
 an edge to the pair `(e.a, e.b)`: an `Edge` is that pair already.  No code
-reads the environment, so no knob can enter through it.
+reads the environment, so no knob can enter through it.  No module imports
+`dataclasses`, which would pull `inspect`, `ast` and their kin into every
+CLI start; the value types are namedtuples like `Edge`.
 The naive search in `oracle.py` names no parallel-class fact and not the
 pruned search, so it stays a witness from the blocking definition alone.
 In the same way the tree test and the structural scan in `blockers.py`
@@ -19,6 +21,8 @@ from __future__ import annotations
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,6 +119,14 @@ def _reads_environment(node: ast.AST) -> bool:
             and isinstance(node.value, ast.Name) and node.value.id == "os")
 
 
+def _imports_dataclasses(node: ast.AST) -> bool:
+    """True for `import dataclasses` and `from dataclasses import ...`."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "dataclasses"
+    return (isinstance(node, ast.Import)
+            and any(a.name == "dataclasses" for a in node.names))
+
+
 def _witness_rule(node: ast.AST, module: str, top: str | None) -> str | None:
     """The rule a name breaks inside `top`, the outermost function."""
     if isinstance(node, ast.Name):
@@ -153,6 +165,8 @@ def findings(source: str, module: str = "") -> list[str]:
             out.append(f"{node.lineno}: edge projected to its pair")
         elif _reads_environment(node):
             out.append(f"{node.lineno}: environment read")
+        elif _imports_dataclasses(node):
+            out.append(f"{node.lineno}: dataclasses import")
         elif rule := _witness_rule(node, module, top):
             out.append(f"{node.lineno}: {rule}")
         for child in ast.iter_child_nodes(node):
@@ -165,6 +179,17 @@ def findings(source: str, module: str = "") -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_package_source_keeps_the_rules(path):
     assert findings(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # A fresh interpreter without site packages, so only the package's own
+    # imports can load them.
+    src = Path(convex_blockers.__file__).resolve().parents[1]
+    probe = ("import sys, convex_blockers.cli\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, env={"PYTHONPATH": str(src)}, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_geometry_may_read_the_edge_pair():
@@ -277,10 +302,16 @@ def test_witnesses_name_nothing_they_check(module, source, expected):
     ("def f(ctx):\n    return ctx.environ\n", []),
     ("from os import environ\n", ["1: environment read"]),
     ("from os import path\n", []),
+    ("import dataclasses\n", ["1: dataclasses import"]),
+    ("from dataclasses import dataclass, field\n", ["1: dataclasses import"]),
+    ("def f():\n    import dataclasses as dc\n", ["2: dataclasses import"]),
+    ("from collections import namedtuple\n", []),
 ], ids=["assert", "resource-limit", "m-below", "bound-above-m", "negated",
         "message", "f-string", "check_cap", "check_min", "no-raise", "bound-on-t",
         "other-name", "pair-display", "pair-subscript", "shifted-pair",
         "two-edges", "comparison", "environ-get", "getenv", "environ-item",
-        "module-level", "other-environ", "import-environ", "import-path"])
+        "module-level", "other-environ", "import-environ", "import-path",
+        "import-dataclasses", "from-dataclasses", "local-dataclasses",
+        "import-namedtuple"])
 def test_findings_name_each_breach(source, expected):
     assert findings(source) == expected
