@@ -14,8 +14,8 @@ enumerate`, `oracle` and `verify`; naive search (`DEFAULT_NAIVE_CAP`) and
 pruned search (`DEFAULT_PRUNED_CAP`) for `oracle`, which checks it before
 building the index, and `verify`, which checks every m of its range up
 front; count (14271, the largest m whose count the interpreter prints) for
-`blocker count` in both forms.  `blocker check` never enumerates matchings
-(its blocking check is O(m^3)) and has no cap.
+`blocker count` in both forms.  `blocker check` has no cap: its blocking
+check is one (2m+1)-bit int row per vertex, and it makes only the set's edges.
 """
 
 from __future__ import annotations

@@ -8,11 +8,11 @@ Key facts baked into the representation:
 
 * An `Edge` is the normalized vertex pair (a, b) with a < b, a tuple of
   two ints; it keys any table directly, with no second pair form.
-* Each `PolygonContext` builds its m(2m-1) edges once, on first use, as
-  one table in edge-index order with maps from vertex pairs to those
-  edges and from edges to their ranks.  Hot paths compute int endpoints
-  and look the canonical `Edge` up there instead of constructing and
-  validating a new one; the table costs O(m^2) time and memory once.
+* Each `PolygonContext` makes each canonical `Edge` once, on its first
+  lookup by vertex pair in `edge_of`; hot paths compute int endpoints and
+  look the edge up there, so a single blocker costs its own m edges.  Only
+  the index, the searches and the edge-index lookups build the whole
+  m(2m-1)-edge table and its rank map, O(m^2) time and memory.
 * The *order* of an edge [i, i+k] is min(k, 2m-k); order-1 edges lie on
   the polygon boundary, everything else is a diagonal.
 * Two vertex-disjoint edges are *parallel* exactly when their endpoint
@@ -26,6 +26,7 @@ Key facts baked into the representation:
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -80,14 +81,36 @@ class Edge(namedtuple("_EdgePair", "a b")):
         return f"Edge({self.a}, {self.b})"
 
 
+class _EdgeStore(dict):
+    """Canonical edges of the polygon on `n` vertices keyed by vertex pair
+    in either order; each is made on its first lookup.  A pair that is no
+    edge of the polygon is a KeyError, as in a filled dict."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, pair):
+        try:
+            edge = Edge(*map(operator.index, pair))  # True reads as 1, 1.5 fails
+        except (TypeError, ValueError):
+            raise KeyError(pair) from None
+        if edge.b >= self.n:
+            raise KeyError(pair)
+        self[edge] = self[edge.b, edge.a] = edge
+        return edge
+
+
 class PolygonContext:
     """The complete geometric graph on a convex polygon with 2m vertices.
 
     Provides the vertex/edge universe and a deterministic edge index
     (lexicographic rank of the normalized pair), which fixes the bitmask
-    layout used everywhere else.  `edge_table`, `edge_of` and `edge_rank`
-    hold the context's canonical edges; they are built on first use and
-    then shared.  `m` and `n` are read-only; contexts compare and hash by m.
+    layout used everywhere else.  `edge_of` makes the context's canonical
+    edges on first lookup; `edge_table` and `edge_rank` hold them all, built
+    on first use.  `m` and `n` are read-only; contexts compare and hash by m.
     """
 
     m: int
@@ -125,17 +148,14 @@ class PolygonContext:
     @cached_property
     def edge_table(self) -> tuple[Edge, ...]:
         """Every edge once, in edge-index (lexicographic) order."""
-        n = self.n
-        return tuple(Edge(a, b) for a in range(n - 1) for b in range(a + 1, n))
+        n, edge_of = self.n, self.edge_of
+        return tuple(edge_of[a, b] for a in range(n - 1) for b in range(a + 1, n))
 
     @cached_property
     def edge_of(self) -> dict[tuple[int, int], Edge]:
-        """The table's edge between vertices a and b, keyed by the int pair
-        (a, b) in either order."""
-        edge_of = {}
-        for e in self.edge_table:
-            edge_of[e] = edge_of[e.b, e.a] = e
-        return edge_of
+        """The canonical edge between vertices a and b, keyed by the int pair
+        (a, b) in either order and made on its first lookup."""
+        return _EdgeStore(self.n)
 
     @cached_property
     def edge_rank(self) -> dict[Edge, int]:

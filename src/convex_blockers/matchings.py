@@ -122,25 +122,25 @@ def first_avoiding_spm(ctx: PolygonContext, edges) -> Matching | None:
     """The first simple perfect matching in `enumerate_spms` order that
     shares no edge with `edges`, or None when `edges` blocks every one.
 
-    Runs the interval-split recurrence of the enumeration as a feasibility
-    table instead of listing matchings: O(m^3) time and O(m^2) memory, so
-    no enumeration cap applies.
+    Runs the enumeration's interval-split recurrence on one (2m+1)-bit int
+    per start vertex, O(m^2) int steps, and lists no matchings: no cap.
     """
     banned = set(map(ctx.check_edge, edges))
     n = ctx.n
-    # ok[i][j]: the vertices i..j-1 have a perfect matching avoiding `edges`.
-    ok = [[i == j for j in range(n + 1)] for i in range(n + 1)]
+    # rows[i] has bit j set when the vertices i..j-1 have a perfect matching
+    # avoiding `edges`; the empty block [i, i) has one.
+    rows = [1 << i for i in range(n + 1)]
 
-    def splits(i: int, j: int):
-        # Partners k of vertex i that leave both blocks [i+1, k) and
-        # [k+1, j) matchable, ascending as in the enumeration.
+    def partners(i: int, j: int):
+        # Allowed partners k < j of vertex i leaving [i+1, k) matchable,
+        # ascending as in the enumeration.
         return (k for k in range(i + 1, j, 2)
-                if (i, k) not in banned and ok[i + 1][k] and ok[k + 1][j])
+                if rows[i + 1] >> k & 1 and (i, k) not in banned)
 
-    for length in range(2, n + 1, 2):
-        for i in range(n - length + 1):
-            ok[i][i + length] = any(splits(i, i + length))
-    if not ok[0][n]:
+    for i in range(n - 2, -1, -1):
+        for k in partners(i, n):
+            rows[i] |= rows[k + 1]
+    if not rows[0] >> n & 1:
         return None
     # The smallest feasible partner of the lowest vertex, then the first
     # matchings of the inner and outer blocks, is the first in enumeration
@@ -150,7 +150,7 @@ def first_avoiding_spm(ctx: PolygonContext, edges) -> Matching | None:
     while pending:
         i, j = pending.pop()
         if i < j:
-            k = next(splits(i, j))
+            k = next(k for k in partners(i, j) if rows[k + 1] >> j & 1)
             out.append(Edge(i, k))
             pending += [(k + 1, j), (i + 1, k)]
     return frozenset(out)

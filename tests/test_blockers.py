@@ -132,7 +132,7 @@ def test_blocker_layer_builds_no_edge_once_the_table_exists(monkeypatch):
     inputs.append((PolygonContext(2), edges("0-1,2-3")))  # not a tree
     ctx = PolygonContext(7)
     for c in [ctx] + [c for c, _e in inputs]:
-        c.edge_of  # builds the table of this instance
+        c.edge_table  # builds every edge of this instance
     built = []
     new = Edge.__new__
 
@@ -153,8 +153,8 @@ def test_blocker_layer_builds_no_edge_once_the_table_exists(monkeypatch):
 
 
 def test_structural_checks_keep_to_the_input_edges():
-    # Only regenerating a parsed blocker needs the context's edge table, so
-    # a refused set and any report at m = 300 build none of its 179,700 edges.
+    # A refused set and any report at m = 300 make none of the context's
+    # 179,700 edges; regenerating a parsed blocker makes only its own.
     ctx = PolygonContext(300)
     spine = [Edge(p, p + 1) for p in range(300)]  # a blocker with t = m
     report = validate_caterpillar(ctx, spine)
@@ -164,8 +164,16 @@ def test_structural_checks_keep_to_the_input_edges():
     assert parse_blocker(ctx, refused).name == VIOLATION_EVEN_ORDER
     path = validate_caterpillar(ctx, refused).boundary_path
     assert all(e is f for e, f in zip(path, spine[:-1], strict=True))
+    assert first_avoiding_spm(ctx, refused) is not None
     assert "edge_of" not in ctx.__dict__
     assert "edge_table" not in ctx.__dict__
+    # The whole single-set path of `blocker check` and `render` on the spine.
+    assert parse_blocker(ctx, spine) == BlockerSpec(0, 300)
+    assert first_avoiding_spm(ctx, spine) is None
+    assert generate_blocker(ctx, BlockerSpec(0, 300)) == frozenset(spine)
+    assert len(ctx.edge_of) == 600
+    assert "edge_table" not in ctx.__dict__
+    assert "edge_rank" not in ctx.__dict__
 
 
 @pytest.mark.parametrize("m", range(2, 7))

@@ -338,6 +338,21 @@ def test_edge_table_holds_every_pair_once_in_index_order(m):
     assert tuple(ctx.edges()) == ctx.edge_table
 
 
+def test_edge_of_makes_each_edge_on_first_lookup():
+    ctx = PolygonContext(3)
+    assert len(ctx.edge_of) == 0
+    e = ctx.edge_of[5, 2]
+    assert type(e) is Edge and e == (2, 5)
+    assert ctx.edge_of[2, 5] is e and ctx.edge_of[e] is e and len(ctx.edge_of) == 2
+    for key in [(0, 6), (6, 0), (1, 1), (-1, 2), (1.5, 2), ("a", "b"), (1, 2, 3), 5, None]:
+        with pytest.raises(KeyError):
+            ctx.edge_of[key]
+    assert len(ctx.edge_of) == 2
+    assert repr(ctx.edge_of[True, 4]) == "Edge(1, 4)"  # a bool key makes an int edge
+    assert ctx.edge_table[ctx.edge_index(e)] is e
+    assert len(ctx.edge_of) == 2 * ctx.edge_count
+
+
 def test_context_stores_n_and_keeps_its_value_semantics():
     ctx = PolygonContext(3)
     assert ctx.__dict__["n"] == ctx.n == 6

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import edges
+from conftest import edges, random_spec
 from convex_blockers.blockers import BlockerSpec, enumerate_blockers, generate_blocker
 from convex_blockers.errors import InfeasibilityError, InputError, ResourceLimitError
 from convex_blockers.geometry import Edge, PolygonContext, are_parallel, edge_order, is_boundary_edge
@@ -221,6 +221,55 @@ def test_first_avoiding_spm_on_arbitrary_edge_sets(data):
     m = data.draw(st.integers(2, 8))
     chosen = data.draw(st.sets(st.sampled_from(list(PolygonContext(m).edges()))))
     _assert_first_avoiding_matches_index(m, chosen)
+
+
+def _slow_first_avoiding_spm(ctx: PolygonContext, chosen):
+    """`first_avoiding_spm` before its bitset rows: a (2m+1)^2 table of
+    bools filled interval length by length, O(m^3) generator steps."""
+    banned = set(map(ctx.check_edge, chosen))
+    n = ctx.n
+    # ok[i][j]: the vertices i..j-1 have a perfect matching avoiding `chosen`.
+    ok = [[i == j for j in range(n + 1)] for i in range(n + 1)]
+
+    def splits(i: int, j: int):
+        return (k for k in range(i + 1, j, 2)
+                if (i, k) not in banned and ok[i + 1][k] and ok[k + 1][j])
+
+    for length in range(2, n + 1, 2):
+        for i in range(n - length + 1):
+            ok[i][i + length] = any(splits(i, i + length))
+    if not ok[0][n]:
+        return None
+    out = []
+    pending = [(0, n)]
+    while pending:
+        i, j = pending.pop()
+        if i < j:
+            k = next(splits(i, j))
+            out.append(Edge(i, k))
+            pending += [(k + 1, j), (i + 1, k)]
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("m", range(2, 41))
+def test_first_avoiding_spm_agrees_with_the_slow_twin(m):
+    # Every blocker up to m = 6, seeded ones beyond, each with a one-edge
+    # swap, and seeded edge sets of 0..3m edges, past DEFAULT_MAX_M too.
+    ctx = PolygonContext(m)
+    rng = random.Random(m)
+    all_edges = list(ctx.edges())
+    if m <= 6:
+        blockers = enumerate_blockers(ctx)
+    else:
+        blockers = [generate_blocker(ctx, random_spec(rng, m)) for _ in range(4)]
+    cases = []
+    for blocker in blockers:
+        dropped = rng.choice(sorted(blocker))
+        added = rng.choice([e for e in all_edges if e not in blocker])
+        cases += [blocker, (blocker - {dropped}) | {added}]
+    cases += [rng.sample(all_edges, rng.randint(0, 3 * m)) for _ in range(4)]
+    for chosen in cases:
+        assert first_avoiding_spm(ctx, chosen) == _slow_first_avoiding_spm(ctx, chosen)
 
 
 def test_first_avoiding_spm_beyond_the_enumeration_cap():

@@ -4,10 +4,17 @@ import random
 
 import pytest
 
+from conftest import random_spec
 from convex_blockers import verify
-from convex_blockers.blockers import enumerate_blockers
+from convex_blockers.blockers import (
+    BlockerSpec,
+    enumerate_blockers,
+    generate_blocker,
+    parse_blocker,
+)
 from convex_blockers.errors import InputError, ResourceLimitError
-from convex_blockers.geometry import PolygonContext
+from convex_blockers.geometry import PolygonContext, edge_class, is_boundary_edge, parallel_class
+from convex_blockers.matchings import first_avoiding_spm
 from convex_blockers.verify import MAX_WITNESSES, verify_special_blockers, verify_theorem
 
 
@@ -124,3 +131,33 @@ def test_special_blockers(m):
 def test_special_blockers_rejects_m1():
     with pytest.raises(InputError):
         verify_special_blockers(1)
+
+
+@pytest.mark.parametrize("m, blockers", [(20, 30), (60, 15), (150, 6)])
+def test_parser_and_blocking_check_agree_past_the_cap(m, blockers):
+    """Seeded differential witness far past the enumeration cap: on m-edge
+    sets the structural parser accepts exactly the sets that the blocking
+    check finds no avoiding matching for.  The sets are generated blockers
+    and near misses of three kinds: a one-edge swap within the edge's odd
+    class, a broken spine (one spine edge traded for another boundary edge)
+    and a random transversal of the odd classes.  This is evidence for the
+    theorem at sizes the oracle cannot reach, not a proof of completeness."""
+    ctx = PolygonContext(m)
+    rng = random.Random(m)
+    boundary = ctx.boundary_edges()
+    cases = []
+    for _ in range(blockers):
+        spec = random_spec(rng, m)
+        blocker = generate_blocker(ctx, spec)
+        assert parse_blocker(ctx, blocker) == spec
+        dropped = rng.choice(sorted(blocker))
+        twin = rng.choice([e for e in parallel_class(ctx, edge_class(ctx, dropped))
+                           if e != dropped])
+        spine_edge = rng.choice([e for e in blocker if is_boundary_edge(ctx, e)])
+        other = rng.choice([e for e in boundary if e not in blocker])
+        transversal = {rng.choice(parallel_class(ctx, c)) for c in range(1, ctx.n, 2)}
+        cases += [blocker, blocker - {dropped} | {twin},
+                  blocker - {spine_edge} | {other}, transversal]
+    for edge_set in cases:
+        accepted = isinstance(parse_blocker(ctx, edge_set), BlockerSpec)
+        assert accepted == (first_avoiding_spm(ctx, edge_set) is None), sorted(edge_set)
