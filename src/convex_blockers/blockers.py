@@ -74,7 +74,8 @@ VIOLATION_LEG_GAP = "leg_gap_violation"
 
 class BlockerSpec(namedtuple("_BlockerSpec", "start t eps", defaults=((),))):
     """Canonical blocker parameters: the spine's first vertex `start`, the
-    spine length `t` and the tuple `eps` of m - t leg offsets."""
+    spine length `t` and the tuple `eps` of m - t leg offsets, all plain
+    ints (`validate` refuses floats, text and bools)."""
 
     __slots__ = ()
 
@@ -82,7 +83,7 @@ class BlockerSpec(namedtuple("_BlockerSpec", "start t eps", defaults=((),))):
         m = ctx.m
         check_min(m, 2)
         eps = tuple(self.eps)
-        if not all(isinstance(v, int) for v in (self.start, self.t, *eps)):
+        if not all(type(v) is int for v in (self.start, self.t, *eps)):
             raise InputError("start, t and offsets must be integers, got "
                              f"start={self.start!r}, t={self.t!r}, eps={eps!r}")
         if not 0 <= self.start < ctx.n:

@@ -16,11 +16,20 @@ building the index, and `verify`, which checks every m of its range up
 front; count (14271, the largest m whose count the interpreter prints) for
 `blocker count` in both forms.  `blocker check` has no cap: its blocking
 check is one (2m+1)-bit int row per vertex, and it makes only the set's edges.
+
+The bulk commands, `spm enumerate` and `blocker enumerate` in both
+formats, stream their output through `_write_chunks`: one
+`sys.stdout.write` per `_CHUNK` matchings or blockers, so an unbuffered
+stdout (`-u`) costs one system call per chunk, not one per line, and the
+text held at once stays bounded.  Their bytes are the same either way.
+Every other command prints its few lines; `verify` prints each m as it
+finishes.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -79,8 +88,31 @@ def _count_cap() -> int:
     return m
 
 
+# Texts (lines, or items of a JSON array) per `sys.stdout.write` in the bulk
+# commands: few system calls under `-u`, and a join small enough that the
+# peak memory stays where one write per line kept it.
+_CHUNK = 1024
+
+
 def _json(payload) -> str:
     return json.dumps(payload, separators=(",", ":"))
+
+
+def _write_chunks(texts) -> None:
+    """Write the texts in order, `_CHUNK` of them per `sys.stdout.write`.
+    `sys.stdout` is looked up on each write, never replaced."""
+    texts = iter(texts)
+    while chunk := list(itertools.islice(texts, _CHUNK)):
+        sys.stdout.write("".join(chunk))
+
+
+def _json_array(items):
+    """The texts of a one-line JSON array, from `,`-led item texts: the
+    first comma becomes the `[`, byte for byte as `json.dumps` writes it."""
+    items = iter(items)
+    yield "[" + next(items, ",")[1:]
+    yield from items
+    yield "]\n"
 
 
 def _matching_texts(splits, first: str, last: str):
@@ -95,15 +127,12 @@ def _matching_texts(splits, first: str, last: str):
 def cmd_spm_enumerate(ns: argparse.Namespace) -> int:
     ctx = PolygonContext(ns.m)
     if ns.format == "json":
-        # `_json` of the pair lists, one `,[[a,b],...]` at a time, first comma cut.
+        # `_json` of the pair lists, one `,[[a,b],...]` at a time.
         splits = _spm_splits(ctx, lambda a, b: "," + _json((a, b)), "")
-        texts = _matching_texts(splits, ",[", "]")
-        sys.stdout.write("[" + next(texts)[1:])
-        sys.stdout.writelines(texts)
-        sys.stdout.write("]\n")
+        _write_chunks(_json_array(_matching_texts(splits, ",[", "]")))
     else:
         splits = _spm_splits(ctx, lambda a, b: "," + edge_to_text(ctx.edge_of[a, b]), "")
-        sys.stdout.writelines(_matching_texts(splits, "", "\n"))
+        _write_chunks(_matching_texts(splits, "", "\n"))
     return 0
 
 
@@ -130,10 +159,11 @@ def cmd_blocker_enumerate(ns: argparse.Namespace) -> int:
     check_cap(ns.m, DEFAULT_MAX_M, "enumeration")
     specs = enumerate_blocker_specs(ctx)
     if ns.format == "json":
-        print(_json([blocker_to_json(ctx, spec) for spec in specs]))
+        _write_chunks(_json_array("," + _json(blocker_to_json(ctx, spec))
+                                  for spec in specs))
     else:
-        for spec in specs:
-            print(edges_to_text(generate_blocker(ctx, spec)))
+        _write_chunks(edges_to_text(generate_blocker(ctx, spec)) + "\n"
+                      for spec in specs)
     return 0
 
 

@@ -54,12 +54,13 @@ __all__ = [
 class Edge(namedtuple("_EdgePair", "a b")):
     """Unordered vertex pair: the int tuple (a, b) with a < b.  It hashes,
     compares, sorts and JSON-encodes as that pair, so Edge(3, 1) == (1, 3);
-    `PolygonContext.check_edge` still refuses plain tuples."""
+    `PolygonContext.check_edge` still refuses plain tuples.  Vertices are
+    plain ints: a bool would print as `True-2`."""
 
     __slots__ = ()
 
     def __new__(cls, a: int, b: int) -> "Edge":
-        if not (isinstance(a, int) and isinstance(b, int)):
+        if not (type(a) is int and type(b) is int):
             raise InputError(f"non-integer vertex in [{a},{b}]")
         if a == b:
             raise InputError(f"degenerate edge [{a},{b}]")

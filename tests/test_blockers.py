@@ -90,13 +90,18 @@ def test_generate_rejects_m1():
 
 # A float start such as 1.0 hashes and compares equal to 1, so a table
 # keyed by int pairs would hand back a blocker; a float t made `range` raise
-# TypeError.  Each is refused with the one message before any lookup.
+# TypeError, and a bool start validated and wrote `"start":true` in JSON.
+# Each is refused with the one message before any lookup.
 @pytest.mark.parametrize("spec", [
     BlockerSpec(0, 2.0, (1,)),
     BlockerSpec(1.0, 2, (1,)),
     BlockerSpec(0, 2, (1.0,)),
     BlockerSpec("0", 2, (1,)),
-], ids=["float-t", "float-start", "float-offset", "text-start"])
+    BlockerSpec(True, 2, ()),
+    BlockerSpec(0, True, ()),
+    BlockerSpec(0, 2, (True,)),
+], ids=["float-t", "float-start", "float-offset", "text-start", "bool-start",
+        "bool-t", "bool-offset"])
 def test_spec_refuses_non_integers(spec):
     ctx = PolygonContext(3)
     message = ("start, t and offsets must be integers, got "
@@ -606,6 +611,23 @@ def test_restriction_of_every_blocker_blocks_smaller_polygon(m):
             sub_ctx, sub = restrict_blocker(ctx, blocker, e, f)
             assert len(sub) == m - 1
             assert is_blocking_set(sub_index, sub)
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_restriction_maps_blockers_to_blockers(m):
+    # Closure without the oracle: every admissible restriction of a
+    # generated m-blocker is a generated (m-1)-blocker, and each of those
+    # is the image of some m-blocker.
+    ctx = PolygonContext(m)
+    smaller = set(enumerate_blockers(PolygonContext(m - 1)))
+    images = set()
+    for blocker in enumerate_blockers(ctx):
+        for e, f in _admissible_pairs(ctx, blocker):
+            sub_ctx, sub = restrict_blocker(ctx, blocker, e, f)
+            assert sub_ctx.m == m - 1
+            assert sub in smaller, (sorted(blocker), e, f)
+            images.add(sub)
+    assert images == smaller
 
 
 # ---------------------------------------------------------------------------

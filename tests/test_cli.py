@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import random
@@ -14,7 +15,7 @@ import pytest
 import convex_blockers
 from conftest import edges
 from convex_blockers.blockers import BlockerSpec, enumerate_blockers, generate_blocker
-from convex_blockers.cli import run_cli
+from convex_blockers.cli import _CHUNK, run_cli
 from convex_blockers.geometry import Edge, PolygonContext, edges_to_lists, edges_to_text
 from convex_blockers.matchings import enumerate_spms, is_spm
 from test_blockers import MUTANTS
@@ -77,25 +78,36 @@ def test_spm_enumerate_json_matches_edge_sets(capsys, m):
     assert out == json.dumps([edges_to_lists(s) for s in spms], separators=(",", ":")) + "\n"
 
 
+def _child_env(unbuffered: bool) -> dict:
+    """The test's environment with the package on the path, and with or
+    without `PYTHONUNBUFFERED`, whatever the test runner was started with."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(convex_blockers.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 @pytest.mark.parametrize("command", [("spm", "enumerate", "--m", "10"),
                                      ("spm", "enumerate", "--m", "10", "--format", "json"),
-                                     ("blocker", "enumerate", "--m", "10")])
+                                     ("blocker", "enumerate", "--m", "10"),
+                                     ("blocker", "enumerate", "--m", "10", "--format", "json")])
 def test_closed_stdout_pipe_exits_quietly(command):
     # Each output is several pipe buffers long, so the writer still has
     # text to write when the reader closes its end after the first bytes;
     # the JSON array is a single line, so the reader takes bytes, not a line.
-    env = {**os.environ,
-           "PYTHONPATH": str(Path(convex_blockers.__file__).resolve().parents[1])}
-    with subprocess.Popen([sys.executable, "-m", "convex_blockers", *command],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-        assert proc.stdout.read(64)
-        proc.stdout.close()
-        try:
-            _, err = proc.communicate(timeout=60)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            raise
-    assert (proc.returncode, err) == (1, b"")
+    for unbuffered in (False, True):
+        with subprocess.Popen([sys.executable, "-m", "convex_blockers", *command],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=_child_env(unbuffered)) as proc:
+            assert proc.stdout.read(64)
+            proc.stdout.close()
+            try:
+                _, err = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                raise
+        assert (unbuffered, proc.returncode, err) == (unbuffered, 1, b"")
 
 
 def test_spm_parallel(capsys):
@@ -363,6 +375,45 @@ def test_spm_enumerate_stdout_is_pinned(capsys, fmt, m, digest):
     status, out, err = run(capsys, "spm", "enumerate", "--m", str(m), "--format", fmt)
     assert (status, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["lines", "json"])
+@pytest.mark.parametrize("command,items", [("spm", 4862), ("blocker", 2304)])
+def test_bulk_output_takes_one_write_per_chunk(monkeypatch, command, items, fmt):
+    # `sys.stdout` is looked up at each write, so a stand-in sees them all.
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert run_cli([command, "enumerate", "--m", "9", "--format", fmt]) == 0
+    text = out.getvalue()
+    assert len(json.loads(text) if fmt == "json" else text.splitlines()) == items
+    assert out.writes <= -(-items // _CHUNK) + 2
+
+
+# Under `-u` each `sys.stdout.write` is its own system call: the chunked
+# bulk writers must still write the pinned bytes.
+UNBUFFERED_DIGESTS = (
+    [("spm", fmt, m, digest) for fmt, m, digest in SPM_ENUMERATE_DIGESTS if m == 10]
+    + [("blocker", fmt, m, digest) for fmt, m, digest in ENUMERATE_DIGESTS if m == 6])
+
+
+@pytest.mark.parametrize("command,fmt,m,digest", UNBUFFERED_DIGESTS,
+                         ids=[f"{c}-{fmt}-{m}" for c, fmt, m, _d in UNBUFFERED_DIGESTS])
+def test_unbuffered_stdout_writes_the_pinned_bytes(command, fmt, m, digest):
+    done = subprocess.run([sys.executable, "-m", "convex_blockers", command, "enumerate",
+                           "--m", str(m), "--format", fmt],
+                          capture_output=True, env=_child_env(True), timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert hashlib.sha256(done.stdout).hexdigest() == digest
 
 
 def check_corpus() -> list[tuple[int, frozenset[Edge]]]:

@@ -134,6 +134,11 @@ def test_edge_refusal_messages():
     # The type is checked before both others.
     with pytest.raises(InputError, match=re.escape("non-integer vertex in [-1,-1.0]")):
         Edge(-1, -1.0)
+    # A bool is an int to `isinstance`, but an edge `True-2` is no edge.
+    with pytest.raises(InputError, match=re.escape("non-integer vertex in [True,2]")):
+        Edge(True, 2)
+    with pytest.raises(InputError, match=re.escape("non-integer vertex in [0,False]")):
+        Edge(0, False)
 
 
 def test_edge_replace_normalizes_and_checks():
