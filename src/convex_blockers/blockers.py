@@ -19,6 +19,9 @@ trichotomy used in half-boundary arguments.
 Generation and the structural checks work on int endpoints: generated
 edges are looked up in the context's `edge_of` table, and the scan unpacks
 each edge once and reports the input's own edges, boundary path included.
+`parse_blocker` followed by `validate_caterpillar` on the same frozenset
+object, as `blocker check` runs them, scans the set once: `_scan` keeps its
+last result, keyed by the identity of the context and of the set.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import enum
 import itertools
 import math
 from collections import namedtuple
+from types import MappingProxyType
 
 from .errors import InputError, StructureError, check_min
 from .geometry import (
@@ -199,6 +203,15 @@ def _boundary_runs(ctx: PolygonContext, positions: dict[int, Edge]
     return runs
 
 
+# (ctx, edges, result) of the last scan.  Only `_scan` names it.  The key is
+# identity, never equality: a set of plain pairs equals the matching `Edge`
+# set and must still be refused, and the strong references held here keep
+# both key objects alive, so neither identity can be reused while cached.
+# The slot is read and replaced whole, so a thread can miss it but never
+# get another set's result.
+_scan_memo = (None, None, None)
+
+
 def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
     """All structural violations in the fixed check order, plus spine data.
 
@@ -212,11 +225,17 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
     Check order: one edge per odd parallel class, boundary count >= 2,
     boundary consecutiveness, crossing-freeness, leg attachment locations,
     leg distance gaps.  Returns (violations, edge_list, boundary, runs,
-    spine): the sorted edges, each boundary position's edge from the input,
-    the maximal boundary runs from `_boundary_runs`, and spine (start, t,
-    legs) once the boundary edges form a single run of length >= 2; legs
-    are (attach, far, edge) triples in start-relative labels.
+    spine): the sorted edges, each boundary position's edge from the input
+    (read-only), the maximal boundary runs from `_boundary_runs`, and spine
+    (start, t, legs) once the boundary edges form a single run of length
+    >= 2; legs are (attach, far, edge) triples in start-relative labels.
+    Every part is immutable, because the same `ctx` and `edges` objects
+    again get the cached result; a call that raises caches nothing.
     """
+    global _scan_memo
+    memo_ctx, memo_edges, result = _scan_memo
+    if ctx is memo_ctx and edges is memo_edges:
+        return result
     n = ctx.n
     edge_list = sorted(map(ctx.check_edge, edges))
 
@@ -282,15 +301,21 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
             if p < q and p + pf <= q + qf:
                 violations.append(StructuralViolation(
                     VIOLATION_LEG_GAP, tuple(sorted((e1, e2)))))
-        spine = (start, t, legs)
-    return violations, edge_list, boundary, runs, spine
+        spine = (start, t, tuple(legs))
+    result = (tuple(violations), tuple(edge_list), MappingProxyType(boundary),
+              tuple(runs), spine)
+    _scan_memo = (ctx, edges, result)
+    return result
 
 
 def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolation:
     """Invert the generator: recover the unique (start, t, eps) of an
     m-edge set, or report the first violated structural condition.
 
-    A wrong cardinality is an input error rather than a violation.
+    A wrong cardinality is an input error rather than a violation.  A
+    frozenset is scanned as is, so `validate_caterpillar` on the same
+    `ctx` and set object next reuses this call's scan; an equal but
+    distinct set is scanned again (see `_scan_memo`).
     """
     check_min(ctx.m, 2)
     edges = frozenset(edges)
@@ -335,15 +360,17 @@ def validate_caterpillar(ctx: PolygonContext, edges) -> CaterpillarReport:
     """Full structural report for an arbitrary edge set.
 
     Collects every violation (tree-ness first, then the parse checks) and
-    describes the longest boundary run.
+    describes the longest boundary run.  Right after `parse_blocker` on the
+    same `ctx` and frozenset object it reuses that call's scan, matched by
+    identity so that an equal set of plain pairs is still refused; the
+    tree test always runs.  `violations` is a fresh list on every call.
     """
     edges = frozenset(edges)
     scan_violations, edge_list, boundary, runs, _spine = _scan(ctx, edges)
     violations: list[StructuralViolation] = []
     tree = _is_tree(edges)
     if not tree:
-        violations.append(
-            StructuralViolation(VIOLATION_NOT_A_TREE, tuple(edge_list)))
+        violations.append(StructuralViolation(VIOLATION_NOT_A_TREE, edge_list))
     violations.extend(scan_violations)
 
     start, length = max(runs, key=lambda run: (run[1], -run[0]), default=(0, 0))

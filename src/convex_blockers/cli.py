@@ -16,6 +16,9 @@ building the index, and `verify`, which checks every m of its range up
 front; count (14271, the largest m whose count the interpreter prints) for
 `blocker count` in both forms.  `blocker check` has no cap: its blocking
 check is one (2m+1)-bit int row per vertex, and it makes only the set's edges.
+It hands `parse_blocker` and `validate_caterpillar` the same frozenset, so
+the set is scanned once: the scan keeps its last result, keyed by object
+identity, since an equal set of plain pairs must still be refused.
 
 The bulk commands, `spm enumerate` and `blocker enumerate` in both
 formats, stream their output through `_write_chunks`: one

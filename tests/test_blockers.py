@@ -20,6 +20,7 @@ from convex_blockers.blockers import (
     VIOLATION_NOT_CONSECUTIVE,
     BlockerSpec,
     BoundaryCase,
+    CaterpillarReport,
     StructuralViolation,
     blocker_to_json,
     classify_boundary_set,
@@ -445,7 +446,9 @@ def test_validate_report_json():
     assert payload["violations"] == []
 
 
-def test_scan_checks_each_edge_once(monkeypatch):
+@pytest.fixture
+def check_edge_calls(monkeypatch):
+    """The edges `PolygonContext.check_edge` is called on, in call order."""
     calls = []
     check_edge = PolygonContext.check_edge
 
@@ -454,15 +457,100 @@ def test_scan_checks_each_edge_once(monkeypatch):
         return check_edge(self, e)
 
     monkeypatch.setattr(PolygonContext, "check_edge", counting)
+    return calls
+
+
+def test_scan_checks_each_edge_once(check_edge_calls):
+    # One scan serves parse_blocker and then validate_caterpillar on the
+    # same frozenset object: m check_edge calls in total, not 2m.  An equal
+    # but distinct copy is scanned again, and each call alone on a fresh
+    # set makes m calls.
+    calls = check_edge_calls
     ctx11 = PolygonContext(11)
     cases = [(ctx11, generate_blocker(ctx11, BlockerSpec(5, 4, (1, 2, 3, 5, 6, 8, 9)))),
              (PolygonContext(2), edges("0-1,2-3"))]  # not a tree
     cases += [(PolygonContext(m), edges(text)) for m, text, _name in MUTANTS]
     for ctx, edge_set in cases:
+        calls.clear()
+        parse_blocker(ctx, edge_set)
+        validate_caterpillar(ctx, edge_set)
+        assert sorted(calls) == sorted(edge_set)
+        copy = frozenset(list(edge_set))
+        assert copy == edge_set and copy is not edge_set
+        parse_blocker(ctx, copy)
+        validate_caterpillar(ctx, copy)
+        assert sorted(calls) == sorted([*edge_set, *edge_set])
         for check in (parse_blocker, validate_caterpillar):
             calls.clear()
-            check(ctx, edge_set)
+            check(ctx, frozenset(list(edge_set)))
             assert sorted(calls) == sorted(edge_set), check.__name__
+
+
+def test_a_changed_report_leaves_the_cached_scan_alone(check_edge_calls):
+    ctx = PolygonContext(6)
+    for edge_set in (FIGURE_BLOCKER, edges("0-1,1-2,2-3,2-5,2-7,4-7")):
+        parsed = parse_blocker(ctx, edge_set)
+        report = validate_caterpillar(ctx, edge_set)
+        kept = list(report.violations)
+        report.violations.append(StructuralViolation(VIOLATION_LEG_GAP))
+        check_edge_calls.clear()
+        assert parse_blocker(ctx, edge_set) == parsed
+        again = validate_caterpillar(ctx, edge_set)
+        assert check_edge_calls == []  # both came from the cached scan
+        assert again.violations == kept
+        assert again.violations is not report.violations
+        assert again == validate_caterpillar(ctx, frozenset(list(edge_set)))
+
+
+def _outcome(check, ctx, edge_set):
+    """What one call returns, or the type and text of the InputError it
+    raises."""
+    try:
+        return check(ctx, edge_set)
+    except InputError as exc:
+        return InputError, str(exc)
+
+
+@st.composite
+def _scan_runs(draw):
+    """A pool of m = 6 sets and a run of calls on it.  The pool holds two
+    blockers, a one-edge swap and an equal copy of each, and the plain-pair
+    twin of the first; each call names a check and a (context, set) target,
+    or None to repeat the previous target.  Contexts 0 and 1 are equal
+    objects for m = 6, context 2 is m = 7."""
+    ctx = PolygonContext(6)
+    specs = st.sampled_from(enumerate_blocker_specs(ctx))
+    pool = []
+    for spec in (draw(specs), draw(specs)):
+        blocker = generate_blocker(ctx, spec)
+        out = draw(st.sampled_from(sorted(blocker)))
+        into = draw(st.sampled_from([e for e in ctx.edges() if e not in blocker]))
+        pool += [blocker, (blocker - {out}) | {into}, frozenset(list(blocker))]
+    pool.append(frozenset(tuple(e) for e in pool[0]))
+    targets = st.none() | st.tuples(st.integers(0, 2), st.integers(0, len(pool) - 1))
+    checks = st.sampled_from([parse_blocker, validate_caterpillar])
+    return pool, draw(st.lists(st.tuples(checks, targets), min_size=1, max_size=40))
+
+
+@given(_scan_runs())
+def test_scan_runs_agree_with_fresh_copies(run):
+    # The slow twin: every (check, context, set) result of a scan of fresh,
+    # equal copies, taken before the run so that no call of the run can
+    # find it in the cache.  Each report the run gets is changed afterwards.
+    pool, steps = run
+    contexts = [PolygonContext(6), PolygonContext(6), PolygonContext(7)]
+    expected = {
+        (check, i, j): _outcome(check, PolygonContext(ctx.m), frozenset(list(s)))
+        for check in (parse_blocker, validate_caterpillar)
+        for i, ctx in enumerate(contexts) for j, s in enumerate(pool)}
+    target = (0, 0)
+    for check, chosen in steps:
+        target = chosen or target
+        i, j = target
+        got = _outcome(check, contexts[i], pool[j])
+        assert got == expected[check, i, j]
+        if isinstance(got, CaterpillarReport):
+            got.violations.append(StructuralViolation(VIOLATION_NOT_A_TREE))
 
 
 @st.composite

@@ -163,7 +163,8 @@ def test_context_rejects_nonpositive_m():
 
 # 0.5 is also below the bound: the type is checked first.
 @pytest.mark.parametrize("m, shown", [(2.5, "2.5"), (3.0, "3.0"), ("3", "3"),
-                                      (None, "None"), (0.5, "0.5")])
+                                      (None, "None"), (0.5, "0.5"),
+                                      (True, "True"), (False, "False")])
 def test_context_rejects_non_integer_m(m, shown):
     with pytest.raises(InputError, match=re.escape(f"m must be an integer, got {shown}")):
         PolygonContext(m)

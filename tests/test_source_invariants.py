@@ -14,7 +14,9 @@ name neither other, the scan and `validate_caterpillar` name no part of the
 blocker generator and none of the context's edge tables (the report holds
 the input's own edges), and neither the Catalan count nor the blocking
 table of `first_avoiding_spm`, which `blocker check` runs and the tests
-check against the enumeration, names an enumerator.
+check against the enumeration, names an enumerator.  Only `_scan` names
+its memo slot, so the tree test, the searches and the report never read a
+scan's result through it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ SOURCES = sorted(Path(convex_blockers.__file__).parent.glob("*.py"))
 LOWER_BOUND_TEXT = re.compile(r"\bm (must be )?>= ")
 GENERATOR = ("generate_blocker", "enumerate_blockers", "enumerate_blocker_specs")
 TABLES = ("edge_of", "edge_table", "edge_rank")
+SCAN_MEMO = "_scan_memo"
 # (module, top-level function, names it may not use, rule): each witness
 # stays independent of the code it cross-checks.
 WITNESS_RULES = [
@@ -127,6 +130,15 @@ def _imports_dataclasses(node: ast.AST) -> bool:
             and any(a.name == "dataclasses" for a in node.names))
 
 
+def _names_scan_memo(node: ast.AST) -> bool:
+    """True for the memo slot as a name, an attribute or in a `global`."""
+    if isinstance(node, ast.Name):
+        return node.id == SCAN_MEMO
+    if isinstance(node, ast.Attribute):
+        return node.attr == SCAN_MEMO
+    return isinstance(node, ast.Global) and SCAN_MEMO in node.names
+
+
 def _witness_rule(node: ast.AST, module: str, top: str | None) -> str | None:
     """The rule a name breaks inside `top`, the outermost function."""
     if isinstance(node, ast.Name):
@@ -167,6 +179,9 @@ def findings(source: str, module: str = "") -> list[str]:
             out.append(f"{node.lineno}: environment read")
         elif _imports_dataclasses(node):
             out.append(f"{node.lineno}: dataclasses import")
+        elif (_names_scan_memo(node) and top is not None
+              and (module, top) != ("blockers.py", "_scan")):
+            out.append(f"{node.lineno}: scan memo outside _scan")
         elif rule := _witness_rule(node, module, top):
             out.append(f"{node.lineno}: {rule}")
         for child in ast.iter_child_nodes(node):
@@ -263,6 +278,28 @@ def test_naive_search_names_no_class_fact(source, expected):
 def test_witnesses_name_nothing_they_check(module, source, expected):
     assert findings(source, module) == expected
     assert findings(source, "oracle.py") == []
+
+
+def test_the_scan_memo_rule_guards_a_real_slot():
+    assert hasattr(convex_blockers.blockers, SCAN_MEMO)
+
+
+@pytest.mark.parametrize("module, source, expected", [
+    ("blockers.py", "def validate_caterpillar(ctx, edges):\n"
+     "    return _scan_memo[2]\n", ["2: scan memo outside _scan"]),
+    ("blockers.py", _naive_body("_is_tree", "blockers._scan_memo"),
+     ["3: scan memo outside _scan"]),
+    ("oracle.py", "def _search_naive(index):\n    global _scan_memo\n",
+     ["2: scan memo outside _scan"]),
+    ("matchings.py", "def _scan(ctx, edges):\n    return _scan_memo\n",
+     ["2: scan memo outside _scan"]),
+    ("blockers.py", "def _scan(ctx, edges):\n    global _scan_memo\n"
+     "    _scan_memo = (ctx, edges, ())\n", []),
+    ("blockers.py", "_scan_memo = (None, None, None)\n", []),
+], ids=["validate-reads-slot", "tree-reads-slot", "search-declares-slot",
+        "scan-in-other-module", "scan-owns-slot", "module-level-slot"])
+def test_only_the_scan_names_its_memo(module, source, expected):
+    assert findings(source, module) == expected
 
 
 @pytest.mark.parametrize("source, expected", [
