@@ -30,9 +30,9 @@ import enum
 import itertools
 import math
 from collections import namedtuple
-from types import MappingProxyType
+from collections.abc import Iterable
 
-from .errors import InputError, StructureError, check_min
+from .errors import InputError, StructureError, check_cap, check_min
 from .geometry import (
     Edge,
     PolygonContext,
@@ -40,6 +40,7 @@ from .geometry import (
     edge_to_text,
     edges_to_lists,
 )
+from .matchings import DEFAULT_MAX_M
 
 __all__ = [
     "BlockerSpec",
@@ -86,8 +87,9 @@ class BlockerSpec(namedtuple("_BlockerSpec", "start t eps", defaults=((),))):
     def validate(self, ctx: PolygonContext) -> "BlockerSpec":
         m = ctx.m
         check_min(m, 2)
-        eps = tuple(self.eps)
-        if not all(type(v) is int for v in (self.start, self.t, *eps)):
+        eps = tuple(self.eps) if isinstance(self.eps, Iterable) else self.eps
+        if not (isinstance(eps, tuple)
+                and all(type(v) is int for v in (self.start, self.t, *eps))):
             raise InputError("start, t and offsets must be integers, got "
                              f"start={self.start!r}, t={self.t!r}, eps={eps!r}")
         if not 0 <= self.start < ctx.n:
@@ -120,12 +122,12 @@ class CaterpillarReport(namedtuple(
         "_CaterpillarReport", "is_tree boundary_path spine_length violations")):
     """Structural description of an edge set checked against blocker shape.
 
-    `violations` is the list of `StructuralViolation`s, empty exactly when
+    `violations` is the tuple of `StructuralViolation`s, empty exactly when
     the set could have come out of `generate_blocker`; the remaining fields
     are best-effort descriptions either way: `is_tree` tells whether the
     edges form one tree, `boundary_path` is the tuple of edges of the
-    longest run of boundary edges and `spine_length` its length.  `to_json`
-    carries every field.
+    longest run of boundary edges and `spine_length` its length.  Every
+    field is immutable, so a report hashes.  `to_json` carries every field.
     """
 
     __slots__ = ()
@@ -157,8 +159,9 @@ def generate_blocker(ctx: PolygonContext, spec: BlockerSpec) -> frozenset[Edge]:
 
 def enumerate_blocker_specs(ctx: PolygonContext) -> list[BlockerSpec]:
     """Every canonical spec once: starts ascending, spine lengths ascending,
-    offset tuples in lexicographic order."""
+    offset tuples in lexicographic order.  Refuses m past `DEFAULT_MAX_M`."""
     check_min(ctx.m, 2)
+    check_cap(ctx.m, DEFAULT_MAX_M, "enumeration")
     out = []
     for start in range(ctx.n):
         for t in range(2, ctx.m + 1):
@@ -168,7 +171,7 @@ def enumerate_blocker_specs(ctx: PolygonContext) -> list[BlockerSpec]:
 
 
 def enumerate_blockers(ctx: PolygonContext) -> list[frozenset[Edge]]:
-    """All blockers, each exactly once; the count is m * 2^(m-1)."""
+    """All m * 2^(m-1) blockers, each once; refuses m past `DEFAULT_MAX_M`."""
     return [generate_blocker(ctx, spec) for spec in enumerate_blocker_specs(ctx)]
 
 
@@ -224,11 +227,11 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
 
     Check order: one edge per odd parallel class, boundary count >= 2,
     boundary consecutiveness, crossing-freeness, leg attachment locations,
-    leg distance gaps.  Returns (violations, edge_list, boundary, runs,
-    spine): the sorted edges, each boundary position's edge from the input
-    (read-only), the maximal boundary runs from `_boundary_runs`, and spine
-    (start, t, legs) once the boundary edges form a single run of length
-    >= 2; legs are (attach, far, edge) triples in start-relative labels.
+    leg distance gaps.  Returns (violations, boundary_path, spine): the
+    violations and the input's own edges along the longest boundary run
+    (ties go to the smallest start position), both tuples, and spine (start,
+    t, legs) once the boundary edges form a single run of length >= 2, else
+    None; legs are (attach, far, edge) triples in start-relative labels.
     Every part is immutable, because the same `ctx` and `edges` objects
     again get the cached result; a call that raises caches nothing.
     """
@@ -268,6 +271,8 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
     if len(runs) > 1:
         violations.append(StructuralViolation(
             VIOLATION_NOT_CONSECUTIVE, tuple(boundary.values())))
+    start, t = max(runs, key=lambda run: (run[1], -run[0]), default=(0, 0))
+    path = tuple(boundary[p % n] for p in range(start, start + t))
 
     for i, e in enumerate(edge_list):
         a, b = e
@@ -279,8 +284,7 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
                 violations.append(StructuralViolation(VIOLATION_CROSSING, (e, f)))
 
     spine = None
-    if len(runs) == 1 and len(boundary) >= 2:
-        start, t = runs[0]
+    if len(runs) == 1 and t >= 2:
         legs = []
         for e in interior:
             a, b = e
@@ -302,8 +306,7 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
                 violations.append(StructuralViolation(
                     VIOLATION_LEG_GAP, tuple(sorted((e1, e2)))))
         spine = (start, t, tuple(legs))
-    result = (tuple(violations), tuple(edge_list), MappingProxyType(boundary),
-              tuple(runs), spine)
+    result = (tuple(violations), path, spine)
     _scan_memo = (ctx, edges, result)
     return result
 
@@ -321,7 +324,7 @@ def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolati
     edges = frozenset(edges)
     if len(edges) != ctx.m:
         raise InputError(f"expected exactly {ctx.m} edges, got {len(edges)}")
-    violations, *_, spine = _scan(ctx, edges)
+    violations, _path, spine = _scan(ctx, edges)
     if violations:
         return violations[0]
     start, t, legs = spine
@@ -363,19 +366,15 @@ def validate_caterpillar(ctx: PolygonContext, edges) -> CaterpillarReport:
     describes the longest boundary run.  Right after `parse_blocker` on the
     same `ctx` and frozenset object it reuses that call's scan, matched by
     identity so that an equal set of plain pairs is still refused; the
-    tree test always runs.  `violations` is a fresh list on every call.
+    tree test always runs.  The report's parts are the scan's own tuples.
     """
     edges = frozenset(edges)
-    scan_violations, edge_list, boundary, runs, _spine = _scan(ctx, edges)
-    violations: list[StructuralViolation] = []
+    violations, path, _spine = _scan(ctx, edges)
     tree = _is_tree(edges)
     if not tree:
-        violations.append(StructuralViolation(VIOLATION_NOT_A_TREE, edge_list))
-    violations.extend(scan_violations)
-
-    start, length = max(runs, key=lambda run: (run[1], -run[0]), default=(0, 0))
-    path = tuple(boundary[p % ctx.n] for p in range(start, start + length))
-    return CaterpillarReport(tree, path, length, violations)
+        witness = tuple(sorted(edges))
+        violations = (StructuralViolation(VIOLATION_NOT_A_TREE, witness), *violations)
+    return CaterpillarReport(tree, path, len(path), violations)
 
 
 def restrict_blocker(ctx: PolygonContext, edges, e: Edge, f: Edge
@@ -451,10 +450,11 @@ def classify_boundary_set(ctx: PolygonContext, boundary_edges) -> set[BoundaryCa
 
 def blocker_to_json(ctx: PolygonContext, spec: BlockerSpec) -> dict:
     """JSON form of one blocker with its canonical parameters."""
+    edges = generate_blocker(ctx, spec)  # validates the spec first
     return {
         "m": ctx.m,
         "start": spec.start,
         "t": spec.t,
         "eps": list(spec.eps),
-        "edges": edges_to_lists(generate_blocker(ctx, spec)),
+        "edges": edges_to_lists(edges),
     }

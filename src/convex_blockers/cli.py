@@ -63,7 +63,6 @@ from .geometry import (
     edges_to_text,
 )
 from .matchings import (
-    DEFAULT_MAX_M,
     _spm_splits,
     first_avoiding_spm,
     parallel_spm,
@@ -159,7 +158,6 @@ def cmd_spm_triangular(ns: argparse.Namespace) -> int:
 
 def cmd_blocker_enumerate(ns: argparse.Namespace) -> int:
     ctx = PolygonContext(ns.m)
-    check_cap(ns.m, DEFAULT_MAX_M, "enumeration")
     specs = enumerate_blocker_specs(ctx)
     if ns.format == "json":
         _write_chunks(_json_array("," + _json(blocker_to_json(ctx, spec))

@@ -4,7 +4,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import edges
@@ -101,8 +101,9 @@ def test_generate_rejects_m1():
     BlockerSpec(True, 2, ()),
     BlockerSpec(0, True, ()),
     BlockerSpec(0, 2, (True,)),
+    BlockerSpec(0, 2, 5),
 ], ids=["float-t", "float-start", "float-offset", "text-start", "bool-start",
-        "bool-t", "bool-offset"])
+        "bool-t", "bool-offset", "int-offsets"])
 def test_spec_refuses_non_integers(spec):
     ctx = PolygonContext(3)
     message = ("start, t and offsets must be integers, got "
@@ -444,6 +445,7 @@ def test_validate_report_json():
     assert payload["is_tree"] is True
     assert payload["spine_length"] == 3
     assert payload["violations"] == []
+    assert repr(report).endswith(", violations=())")
 
 
 @pytest.fixture
@@ -487,18 +489,19 @@ def test_scan_checks_each_edge_once(check_edge_calls):
 
 
 def test_a_changed_report_leaves_the_cached_scan_alone(check_edge_calls):
+    # A report cannot be changed: its violations are the cached tuple.
     ctx = PolygonContext(6)
     for edge_set in (FIGURE_BLOCKER, edges("0-1,1-2,2-3,2-5,2-7,4-7")):
         parsed = parse_blocker(ctx, edge_set)
         report = validate_caterpillar(ctx, edge_set)
-        kept = list(report.violations)
-        report.violations.append(StructuralViolation(VIOLATION_LEG_GAP))
+        kept = report.to_json()
+        with pytest.raises(AttributeError):
+            report.violations.append(StructuralViolation(VIOLATION_LEG_GAP))
         check_edge_calls.clear()
         assert parse_blocker(ctx, edge_set) == parsed
         again = validate_caterpillar(ctx, edge_set)
         assert check_edge_calls == []  # both came from the cached scan
-        assert again.violations == kept
-        assert again.violations is not report.violations
+        assert again == report and again.to_json() == report.to_json() == kept
         assert again == validate_caterpillar(ctx, frozenset(list(edge_set)))
 
 
@@ -536,7 +539,7 @@ def _scan_runs(draw):
 def test_scan_runs_agree_with_fresh_copies(run):
     # The slow twin: every (check, context, set) result of a scan of fresh,
     # equal copies, taken before the run so that no call of the run can
-    # find it in the cache.  Each report the run gets is changed afterwards.
+    # find it in the cache.  Each report the run gets hashes like its twin.
     pool, steps = run
     contexts = [PolygonContext(6), PolygonContext(6), PolygonContext(7)]
     expected = {
@@ -550,7 +553,7 @@ def test_scan_runs_agree_with_fresh_copies(run):
         got = _outcome(check, contexts[i], pool[j])
         assert got == expected[check, i, j]
         if isinstance(got, CaterpillarReport):
-            got.violations.append(StructuralViolation(VIOLATION_NOT_A_TREE))
+            assert hash(got) == hash(expected[check, i, j])
 
 
 @st.composite
@@ -564,7 +567,15 @@ def _edge_sets(draw):
     return ctx, frozenset(chosen)
 
 
+def _boundary_set(m, positions):
+    ctx = PolygonContext(m)
+    return ctx, frozenset(ctx.boundary_edge(p) for p in positions)
+
+
 @given(_edge_sets())
+@example(_boundary_set(3, range(6)))  # the full cycle
+@example(_boundary_set(4, (1, 2, 5, 6)))  # two runs of length 2
+@example(_boundary_set(4, (7, 0, 3, 4)))  # a tie with the wrapping run
 def test_scan_agrees_with_the_validated_predicates(case):
     ctx, edge_set = case
     report = validate_caterpillar(ctx, edge_set)
@@ -583,6 +594,21 @@ def test_scan_agrees_with_the_validated_predicates(case):
     assert all(is_boundary_edge(ctx, e) for e in path)
     positions = [boundary_position(ctx, e) for e in path]
     assert all((p + 1) % ctx.n == q for p, q in zip(positions, positions[1:]))
+    # The path is a longest cyclic run of boundary positions, a full cycle
+    # included, and on a tie the one that starts at the smallest position.
+    n = ctx.n
+    present = {boundary_position(ctx, e) for e in edge_set if is_boundary_edge(ctx, e)}
+
+    def run_from(p):
+        length = 0
+        while length < n and (p + length) % n in present:
+            length += 1
+        return length
+
+    longest = max(run_from(p) for p in range(n))
+    assert len(path) == report.spine_length == longest
+    if path:
+        assert positions[0] == min(p for p in range(n) if run_from(p) == longest)
 
 
 def _slow_is_tree(edges) -> bool:

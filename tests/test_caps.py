@@ -11,6 +11,7 @@ from convex_blockers.blockers import (
     count_blockers,
     count_blockers_by_spine,
     enumerate_blocker_specs,
+    enumerate_blockers,
     parse_blocker,
     restrict_blocker,
 )
@@ -55,6 +56,10 @@ def cli_refusal(capsys, *argv) -> str:
                                 "--format", "json")),
     (13, "enumeration", 12,
      lambda capsys: cli_refusal(capsys, "blocker", "enumerate", "--m", "13")),
+    (13, "enumeration", 12,
+     lambda capsys: refusal(lambda: enumerate_blocker_specs(PolygonContext(13)))),
+    (13, "enumeration", 12,
+     lambda capsys: refusal(lambda: enumerate_blockers(PolygonContext(13)))),
     (6, "naive search", 5,
      lambda capsys: refusal(lambda: find_minimum_blockers(
          build_family_index(PolygonContext(6)), MODE_NAIVE))),
@@ -75,6 +80,7 @@ def cli_refusal(capsys, *argv) -> str:
      lambda capsys: cli_refusal(capsys, "blocker", "count", "--m", "14272",
                                 "--by-spine")),
 ], ids=["spm_pairs", "spm-enumerate", "spm-enumerate-json", "blocker-enumerate",
+        "enumerate_blocker_specs", "enumerate_blockers",
         "naive-find_minimum_blockers", "naive-verify", "naive-oracle",
         "pruned-find_minimum_blockers", "pruned-verify", "pruned-oracle", "blocker-count",
         "blocker-count-by-spine"])

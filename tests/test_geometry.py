@@ -380,7 +380,7 @@ def test_context_stores_n_and_keeps_its_value_semantics():
 
 
 # Each value type built by keyword, with its repr, a field, and whether its
-# fields hash (the reports hold a list or dict).
+# fields hash (`VerificationReport` holds a dict and lists).
 VALUE_TYPES = [
     (lambda: BlockerSpec(start=0, t=3, eps=(1, 2, 4)),
      "BlockerSpec(start=0, t=3, eps=(1, 2, 4))", "eps", True),
@@ -388,9 +388,9 @@ VALUE_TYPES = [
      "StructuralViolation(name='crossing_pair', witness=(Edge(0, 3), Edge(1, 4)))",
      "witness", True),
     (lambda: CaterpillarReport(is_tree=True, boundary_path=(Edge(0, 1), Edge(1, 2)),
-                               spine_length=2, violations=[]),
+                               spine_length=2, violations=()),
      "CaterpillarReport(is_tree=True, boundary_path=(Edge(0, 1), Edge(1, 2)), "
-     "spine_length=2, violations=[])", "violations", False),
+     "spine_length=2, violations=())", "violations", True),
     (lambda: TriangularSpec(i1=1, i2=3, i3=5, p=2, q=2, r=2, a=1, b=1, c=1),
      "TriangularSpec(i1=1, i2=3, i3=5, p=2, q=2, r=2, a=1, b=1, c=1)", "a", True),
     (lambda: SpmFamilyIndex(ctx=PolygonContext(2), spms=(5, 10), per_edge_hits=(1, 2)),
