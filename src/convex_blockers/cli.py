@@ -5,6 +5,15 @@ flags exit with status 2, domain errors with status 1; `verify` and
 `blocker check` map their verdict to the exit status.  When the reader of
 stdout goes away (`| head`), `main` stops quietly with status 1.
 
+`run_cli(argv)` is the in-process entry: it runs one command and returns
+its status.  `main`, behind `python -m convex_blockers` and the
+`convex-blockers` script, ends the process: it flushes stdout, runs the
+`atexit` handlers, flushes stderr and calls `os._exit(status)`, which
+skips the interpreter's teardown of every module and object.  While a
+tracer, profiler or debugger watches (`sys.settrace`, `sys.setprofile`, a
+`sys.monitoring` tool, or `bdb` loaded: coverage, cProfile, pdb) it raises
+`SystemExit` instead, so their reports still print at exit.
+
 Too small an m is refused with `m must be >= 1, got M` for the polygon,
 checked first, and `m must be >= 2, got M` for every `blocker` command and
 `render --blocker-spec`.  `verify` refuses `--m-min` below 2 by its range.
@@ -32,11 +41,13 @@ finishes.
 from __future__ import annotations
 
 import argparse
+import atexit
 import itertools
 import json
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .blockers import (
     BlockerSpec,
@@ -322,14 +333,35 @@ def run_cli(argv=None) -> int:
         return 1
 
 
-def main() -> None:
+def _watched() -> bool:
+    """True when a tracer or profiler is installed, through `sys.settrace`,
+    `sys.setprofile` or one of the six `sys.monitoring` tool ids (`cProfile`
+    since Python 3.12), or when a `bdb` debugger such as pdb is loaded: its
+    `continue` drops the trace function while no breakpoint is set."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or "bdb" in sys.modules
+            or monitoring is not None
+            and any(monitoring.get_tool(tool) is not None for tool in range(6)))
+
+
+def main() -> NoReturn:
+    """Run the command line, then end the process with its status."""
     try:
         status = run_cli()
         # Flush here, so that a closed pipe raises inside the try block.
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader went away (`| head`).  The interpreter flushes stdout
-        # again at exit; pointing it at devnull keeps that flush silent.
+        # The reader went away (`| head`).  Any later flush of stdout goes
+        # to devnull and stays silent.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         status = 1
-    raise SystemExit(status)
+    if _watched():
+        # Their reports come from the interpreter's own shutdown.
+        raise SystemExit(status)
+    # Every byte is out: run the exit handlers and flush what they print,
+    # then skip the teardown that frees each module and object.
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)

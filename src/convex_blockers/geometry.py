@@ -199,7 +199,10 @@ class PolygonContext:
 
 
 def edge_order(ctx: PolygonContext, e: Edge) -> int:
-    """min(k, 2m-k) for the edge [i, i+k]; between 1 and m."""
+    """min(k, 2m-k) for the edge [i, i+k]; between 1 and m.  The paper's
+    edge order, kept public as the reference for its statement the tests
+    check (a matching's edges have odd order); the parser reads the parity
+    from the endpoint sum instead."""
     ctx.check_edge(e)
     k = e.b - e.a
     return min(k, ctx.n - k)
@@ -228,7 +231,9 @@ def boundary_position(ctx: PolygonContext, e: Edge) -> int:
 def are_parallel(ctx: PolygonContext, e: Edge, f: Edge) -> bool:
     """True for vertex-disjoint edges in the same parallel class.
 
-    Edges sharing a vertex (including e == f) are never parallel.
+    Edges sharing a vertex (including e == f) are never parallel.  The
+    paper's relation, kept public as the reference the tests check the
+    parallel matchings and the arc-count definition against.
     """
     ctx.check_edge(e)
     ctx.check_edge(f)

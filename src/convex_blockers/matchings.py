@@ -225,7 +225,9 @@ def triangular_spm_from_blocks(ctx: PolygonContext, start: int,
     (the vertex circle splits into arcs of 2a, 2b and 2c vertices).
 
     Delegates to the boundary-edge form; the implied positions always fit
-    the canonical range once position 0 is written as 2m.
+    the canonical range once position 0 is written as 2m.  The paper's
+    fan-size view of a triangular matching, kept public beside the
+    boundary-edge form that `spm triangular` takes.
     """
     if min(a, b, c) < 1 or a + b + c != ctx.m:
         raise InputError(

@@ -110,7 +110,8 @@ def is_blocking_set(index: SpmFamilyIndex, edges) -> bool:
 
 def missed_spms(index: SpmFamilyIndex, edges) -> list[frozenset[Edge]]:
     """The matchings the edge set fails to hit (empty for blocking sets),
-    in enumeration order."""
+    in enumeration order.  The index reference the tests check
+    `matchings.first_avoiding_spm` against; the CLI needs only the first."""
     table = index.ctx.edge_table
     return [frozenset(map(table.__getitem__, _positions(index.spms[position])))
             for position in _positions(_unhit(index, edges))]
@@ -166,8 +167,8 @@ def find_minimum_blockers(index: SpmFamilyIndex, mode: str = MODE_CLASS_PRUNED, 
     millis = (time.perf_counter() - started) * 1000.0
     if not sets:
         raise RuntimeError("unreachable: m consecutive boundary edges always block")
-    return OracleResult(mode, size, tuple(sorted(sets, key=edges_to_lists)),
-                        nodes, millis)
+    # Each set's sorted edges order the sets as their [a, b] lists would.
+    return OracleResult(mode, size, tuple(sorted(sets, key=sorted)), nodes, millis)
 
 
 def _search_naive(index: SpmFamilyIndex) -> tuple[int, list[frozenset[Edge]], int]:

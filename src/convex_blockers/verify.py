@@ -33,13 +33,13 @@ MAX_WITNESSES = 10
 
 
 @contextmanager
-def _timed(durations: dict[str, float], label: str):
-    """Record the wall time of the block in milliseconds under `label`."""
+def _timed(durations: list[tuple[str, float]], label: str):
+    """Append `(label, ms)`, the wall time of the block in milliseconds."""
     t0 = time.perf_counter()
     try:
         yield
     finally:
-        durations[label] = (time.perf_counter() - t0) * 1000.0
+        durations.append((label, (time.perf_counter() - t0) * 1000.0))
 
 
 class VerificationReport(namedtuple("_VerificationReport", (
@@ -51,9 +51,10 @@ class VerificationReport(namedtuple("_VerificationReport", (
     `set_equality` is the substantive statement: the generated blockers
     and the search-found minimum blocking sets coincide.  `naive_agrees`
     and `lower_bound_pass` are None when the naive search was not run.
-    The counts are ints and the checks bools; `durations_ms` maps each
-    phase to its wall time, and `oracle_only` and `generated_only` list
-    the first mismatched sets, each as sorted [a, b] pairs.
+    The counts are ints and the checks bools; `durations_ms` holds one
+    (phase, wall time) pair per phase in run order, and `oracle_only` and
+    `generated_only` hold the first mismatched sets, each as its sorted
+    tuple of edges.  Every field is a value, so the report hashes.
     """
 
     __slots__ = ()
@@ -87,10 +88,10 @@ class VerificationReport(namedtuple("_VerificationReport", (
             "blocks_all_spms": self.blocks_all_spms,
             "naive_agrees": self.naive_agrees,
             "lower_bound_pass": self.lower_bound_pass,
-            "durations_ms": {k: round(v, 3) for k, v in self.durations_ms.items()},
+            "durations_ms": {k: round(v, 3) for k, v in self.durations_ms},
             "witnesses": {
-                "oracle_only": self.oracle_only,
-                "generated_only": self.generated_only,
+                "oracle_only": [edges_to_lists(s) for s in self.oracle_only],
+                "generated_only": [edges_to_lists(s) for s in self.generated_only],
             },
         }
 
@@ -116,7 +117,7 @@ def verify_theorem(m_min: int, m_max: int, naive_up_to: int = 0, *,
 
 def _verify_single(m: int, *, naive: bool, pruned_cap: int) -> VerificationReport:
     ctx = PolygonContext(m)
-    durations: dict[str, float] = {}
+    durations: list[tuple[str, float]] = []
 
     with _timed(durations, "spm_enumeration"):
         index = build_family_index(ctx)
@@ -128,9 +129,8 @@ def _verify_single(m: int, *, naive: bool, pruned_cap: int) -> VerificationRepor
     generated_sets = set(generated)
     oracle_sets = set(pruned.minimum_sets)
     set_equality = generated_sets == oracle_sets
-    # Lists of [a, b] pairs sort like the sorted edge lists they come from.
-    oracle_only = sorted(map(edges_to_lists, oracle_sets - generated_sets))
-    generated_only = sorted(map(edges_to_lists, generated_sets - oracle_sets))
+    oracle_only = sorted(tuple(sorted(s)) for s in oracle_sets - generated_sets)
+    generated_only = sorted(tuple(sorted(s)) for s in generated_sets - oracle_sets)
 
     with _timed(durations, "structural_checks"):
         structural_pass = all(validate_caterpillar(ctx, s).ok
@@ -158,9 +158,9 @@ def _verify_single(m: int, *, naive: bool, pruned_cap: int) -> VerificationRepor
         blocks_all_spms=blocks_all,
         naive_agrees=naive_agrees,
         lower_bound_pass=lower_bound,
-        durations_ms=durations,
-        oracle_only=oracle_only[:MAX_WITNESSES],
-        generated_only=generated_only[:MAX_WITNESSES],
+        durations_ms=tuple(durations),
+        oracle_only=tuple(oracle_only[:MAX_WITNESSES]),
+        generated_only=tuple(generated_only[:MAX_WITNESSES]),
     )
 
 

@@ -400,20 +400,76 @@ def test_bulk_output_takes_one_write_per_chunk(monkeypatch, command, items, fmt)
 
 
 # Under `-u` each `sys.stdout.write` is its own system call: the chunked
-# bulk writers must still write the pinned bytes.
+# bulk writers must still write the pinned bytes.  With a buffered stdout,
+# `main`'s flush before `os._exit` is the only thing that writes the tail.
 UNBUFFERED_DIGESTS = (
     [("spm", fmt, m, digest) for fmt, m, digest in SPM_ENUMERATE_DIGESTS if m == 10]
     + [("blocker", fmt, m, digest) for fmt, m, digest in ENUMERATE_DIGESTS if m == 6])
+STDOUT_CASES = [(unbuffered, *case) for case in UNBUFFERED_DIGESTS
+                for unbuffered in (True, False)]
 
 
-@pytest.mark.parametrize("command,fmt,m,digest", UNBUFFERED_DIGESTS,
-                         ids=[f"{c}-{fmt}-{m}" for c, fmt, m, _d in UNBUFFERED_DIGESTS])
-def test_unbuffered_stdout_writes_the_pinned_bytes(command, fmt, m, digest):
+@pytest.mark.parametrize(
+    "unbuffered,command,fmt,m,digest", STDOUT_CASES,
+    ids=[f"{c}-{fmt}-{m}" + ("" if u else "-buffered") for u, c, fmt, m, _d in STDOUT_CASES])
+def test_unbuffered_stdout_writes_the_pinned_bytes(unbuffered, command, fmt, m, digest):
     done = subprocess.run([sys.executable, "-m", "convex_blockers", command, "enumerate",
                            "--m", str(m), "--format", fmt],
-                          capture_output=True, env=_child_env(True), timeout=60)
+                          capture_output=True, env=_child_env(unbuffered), timeout=60)
     assert (done.returncode, done.stderr) == (0, b"")
     assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+
+# `main` runs `blocker count --m 3`: an exit handler prints to stdout, and an
+# object held to the end says on stderr whether the interpreter tore its
+# modules down.  The command sits in the script, since pdb 3.13.0 takes
+# `--m` after the script for an option of its own.
+MAIN_SCRIPT = """
+import atexit, os, sys
+class Teardown:
+    def __del__(self, write=os.write):
+        write(2, b"teardown\\n")
+held = Teardown()
+atexit.register(print, "exit handler")
+if sys.argv[1] == "traced":
+    sys.settrace(lambda frame, event, arg: None)
+sys.argv[1:] = ["blocker", "count", "--m", "3"]
+from convex_blockers.cli import main
+main()
+"""
+
+
+def test_main_ends_the_process_as_run_cli_returns(capsys, tmp_path):
+    def child(*argv, stdin=b""):
+        done = subprocess.run([sys.executable, *argv], input=stdin, capture_output=True,
+                              env=_child_env(False), timeout=60)
+        return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+    statuses = []
+    for args in (["blocker", "count", "--m", "3"],
+                 ["blocker", "check", "--m", "3", "--edges", "0-9"],
+                 ["spm", "enumerate"]):
+        expected = run(capsys, *args)
+        assert child("-m", "convex_blockers", *args) == expected
+        statuses.append(expected[0])
+    assert statuses == [0, 1, 2]
+    # The exit handler runs and its line is flushed; the teardown is skipped
+    # unless a tracer watches, and then the interpreter exits as usual.
+    assert child("-c", MAIN_SCRIPT, "plain") == (0, "12\nexit handler\n", "")
+    assert child("-c", MAIN_SCRIPT, "traced") == (0, "12\nexit handler\n", "teardown\n")
+    # cProfile prints its table at the interpreter's exit: through
+    # `sys.setprofile` before Python 3.12, a `sys.monitoring` tool since.
+    status, out, err = child("-m", "cProfile", "-m", "convex_blockers",
+                             "blocker", "count", "--m", "3")
+    assert (status, err) == (0, "") and out.startswith("12\n")
+    assert "function calls" in out and "Ordered by" in out
+    # pdb's `continue` with no breakpoint clears the trace function; pdb
+    # still sees the exit and offers a restart, which `q` ends.
+    script = tmp_path / "count.py"
+    script.write_text(MAIN_SCRIPT)
+    status, out, _err = child("-m", "pdb", str(script), "plain", stdin=b"c\nq\n")
+    assert status == 0
+    assert "12\nThe program exited via sys.exit(). Exit status: 0\n" in out
 
 
 def check_corpus() -> list[tuple[int, frozenset[Edge]]]:

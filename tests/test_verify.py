@@ -28,7 +28,7 @@ def test_verify_small_range_with_naive():
         assert r.set_equality and r.structural_pass and r.blocks_all_spms
         assert r.naive_agrees is True
         assert r.lower_bound_pass is True
-        assert r.oracle_only == [] and r.generated_only == []
+        assert r.oracle_only == () and r.generated_only == ()
 
 
 def test_verify_m6_without_naive():
@@ -94,11 +94,15 @@ def test_witnesses_are_the_first_mismatches_in_edge_order(monkeypatch):
 
     def first(sets):
         keys = sorted(tuple((e.a, e.b) for e in sorted(s)) for s in sets)
-        return [[list(p) for p in key] for key in keys[:MAX_WITNESSES]]
+        return tuple(keys[:MAX_WITNESSES])
 
     assert report.verdict == "FAIL" and not report.set_equality
     assert report.oracle_only == first(dropped)
     assert report.generated_only == first(extra)
+    witnesses = report.to_json()["witnesses"]
+    assert witnesses["oracle_only"] == [[list(p) for p in key] for key in first(dropped)]
+    assert witnesses["generated_only"] == [[list(p) for p in key] for key in first(extra)]
+    assert hash(report) == hash(report._replace())
 
 
 def test_report_json_is_deterministic_apart_from_timings():
@@ -117,10 +121,11 @@ def test_report_json_is_deterministic_apart_from_timings():
 def test_report_json_has_phase_durations():
     (report,) = verify_theorem(3, 3, 3)
     durations = report.to_json()["durations_ms"]
-    for phase in ("spm_enumeration", "blocker_generation", "oracle_class_pruned",
-                  "structural_checks", "blocking_checks", "oracle_naive"):
-        assert phase in durations
-        assert durations[phase] >= 0
+    phases = ["spm_enumeration", "blocker_generation", "oracle_class_pruned",
+              "structural_checks", "blocking_checks", "oracle_naive"]
+    # The report keeps the phases in run order, and so does the JSON.
+    assert [phase for phase, _ms in report.durations_ms] == list(durations) == phases
+    assert all(ms >= 0 for ms in durations.values())
 
 
 @pytest.mark.parametrize("m", [2, 3, 6])
