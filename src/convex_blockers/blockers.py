@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Iterable
 
@@ -80,29 +81,39 @@ VIOLATION_LEG_GAP = "leg_gap_violation"
 class BlockerSpec(namedtuple("_BlockerSpec", "start t eps", defaults=((),))):
     """Canonical blocker parameters: the spine's first vertex `start`, the
     spine length `t` and the tuple `eps` of m - t leg offsets, all plain
-    ints (`validate` refuses floats, text and bools)."""
+    ints (`validate` refuses floats, text and bools).  Any iterable `eps`,
+    a one-shot iterator too, is stored as a tuple, also by `_replace`; a
+    non-iterable one is kept for `validate` to refuse."""
 
     __slots__ = ()
+
+    def __new__(cls, start: int, t: int, eps=()) -> "BlockerSpec":
+        if type(eps) is not tuple and isinstance(eps, Iterable):
+            eps = tuple(eps)
+        return tuple.__new__(cls, (start, t, eps))
+
+    @classmethod
+    def _make(cls, iterable) -> "BlockerSpec":  # `_replace` too: tuple offsets
+        return cls(*iterable)
 
     def validate(self, ctx: PolygonContext) -> "BlockerSpec":
         m = ctx.m
         check_min(m, 2)
-        eps = tuple(self.eps) if isinstance(self.eps, Iterable) else self.eps
-        if not (isinstance(eps, tuple)
-                and all(type(v) is int for v in (self.start, self.t, *eps))):
+        start, t, eps = self
+        if not (type(start) is int and type(t) is int and type(eps) is tuple
+                and {*map(type, eps)} <= {int}):
             raise InputError("start, t and offsets must be integers, got "
-                             f"start={self.start!r}, t={self.t!r}, eps={eps!r}")
-        if not 0 <= self.start < ctx.n:
-            raise InputError(f"start must be in 0..{ctx.n - 1}, got {self.start}")
-        if not 2 <= self.t <= m:
-            raise InputError(f"spine length t must be in 2..{m}, got {self.t}")
-        if len(eps) != m - self.t:
-            raise InputError(
-                f"expected {m - self.t} offsets for t={self.t}, got {len(eps)}")
+                             f"start={start!r}, t={t!r}, eps={eps!r}")
+        if not 0 <= start < ctx.n:
+            raise InputError(f"start must be in 0..{ctx.n - 1}, got {start}")
+        if not 2 <= t <= m:
+            raise InputError(f"spine length t must be in 2..{m}, got {t}")
+        if len(eps) != m - t:
+            raise InputError(f"expected {m - t} offsets for t={t}, got {len(eps)}")
         if eps:
             if eps[0] < 1 or eps[-1] > m - 2:
                 raise InputError(f"offsets must lie in 1..{m - 2}, got {eps}")
-            if any(eps[i] >= eps[i + 1] for i in range(len(eps) - 1)):
+            if not all(map(operator.lt, eps, eps[1:])):
                 raise InputError(f"offsets must increase strictly, got {eps}")
         return self
 
@@ -149,11 +160,12 @@ def generate_blocker(ctx: PolygonContext, spec: BlockerSpec) -> frozenset[Edge]:
     """The m-edge set a spec describes: the spine plus one diagonal per
     remaining odd parallel class, hanging off interior spine vertices.
     Its edges are the context's canonical objects from `edge_of`."""
-    spec.validate(ctx)
-    s, t, n, edge_of = spec.start, spec.t, ctx.n, ctx.edge_of
-    edges = [edge_of[(s + i - 1) % n, (s + i) % n] for i in range(1, t + 1)]
-    for j, eps in enumerate(spec.eps, start=1):
-        edges.append(edge_of[(s + t + j - 1 - eps) % n, (s + t + j + eps) % n])
+    s, t, eps = spec.validate(ctx)
+    n, edge_of = ctx.n, ctx.edge_of
+    base = s + t - 1  # leg j spans base + j - eps_j .. base + j + eps_j + 1
+    edges = [edge_of[v % n, (v + 1) % n] for v in range(s, s + t)]
+    for j, e in enumerate(eps, start=1):
+        edges.append(edge_of[(base + j - e) % n, (base + j + e + 1) % n])
     return frozenset(edges)
 
 
@@ -268,10 +280,13 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
             VIOLATION_FEW_BOUNDARY, tuple(boundary.values())))
 
     runs = _boundary_runs(ctx, boundary)
-    if len(runs) > 1:
-        violations.append(StructuralViolation(
-            VIOLATION_NOT_CONSECUTIVE, tuple(boundary.values())))
-    start, t = max(runs, key=lambda run: (run[1], -run[0]), default=(0, 0))
+    if len(runs) == 1:  # every blocker, and the full cycle
+        start, t = runs[0]
+    else:
+        if runs:
+            violations.append(StructuralViolation(
+                VIOLATION_NOT_CONSECUTIVE, tuple(boundary.values())))
+        start, t = max(runs, key=lambda run: (run[1], -run[0]), default=(0, 0))
     path = tuple(boundary[p % n] for p in range(start, start + t))
 
     for i, e in enumerate(edge_list):

@@ -157,7 +157,9 @@ def find_minimum_blockers(index: SpmFamilyIndex, mode: str = MODE_CLASS_PRUNED, 
 
     `nodes` counts the search effort.  For naive it is every search-tree
     call, summed over the budgets 0..minimum; for class_pruned it is every
-    DFS call, the pruned ones included.
+    node of the depth-first tree, the pruned ones included: the root, and
+    each child counted by its parent, which calls only the children that
+    pass the bound.
     `check_search_cap` refuses m first.
     """
     check_search_cap(index.ctx.m, mode, pruned_cap=pruned_cap)
@@ -220,22 +222,24 @@ def _search_class_pruned(index: SpmFamilyIndex
             unreach[i] &= c
     found: list[frozenset[Edge]] = []
     chosen: list[Edge] = []
-    nodes = 0
+    nodes = 1  # the root; each child is counted and bounded by its parent
 
     def walk(i: int, unhit: int) -> None:
         nonlocal nodes
-        nodes += 1
-        if unhit & unreach[i]:
-            return
         if i == len(class_edges):
             found.append(frozenset(chosen))
             return
+        nodes += len(class_edges[i])
+        bound = unreach[i + 1]
         for e, c in class_edges[i]:
-            chosen.append(e)
-            walk(i + 1, unhit & c)
-            chosen.pop()
+            child = unhit & c
+            if not child & bound:
+                chosen.append(e)
+                walk(i + 1, child)
+                chosen.pop()
 
-    walk(0, full)
+    if not full & unreach[0]:
+        walk(0, full)
     return ctx.m, found, nodes
 
 

@@ -57,22 +57,49 @@ FIGURE_BLOCKER = edges("0-1,1-2,2-3,2-5,2-7,1-10")
 # spec validation and generation
 # ---------------------------------------------------------------------------
 
+SPEC_REFUSALS = [
+    (BlockerSpec(12, 3, (1, 2, 4)), "start must be in 0..11, got 12"),
+    (BlockerSpec(-1, 3, (1, 2, 4)), "start must be in 0..11, got -1"),
+    (BlockerSpec(0, 1, (1, 2, 3, 4)), "spine length t must be in 2..6, got 1"),
+    (BlockerSpec(0, 7, ()), "spine length t must be in 2..6, got 7"),
+    (BlockerSpec(0, 3, (1, 2)), "expected 3 offsets for t=3, got 2"),
+    (BlockerSpec(0, 3, (0, 1, 2)), "offsets must lie in 1..4, got (0, 1, 2)"),
+    (BlockerSpec(0, 3, (1, 2, 5)), "offsets must lie in 1..4, got (1, 2, 5)"),
+    (BlockerSpec(0, 3, (1, 2, 2)), "offsets must increase strictly, got (1, 2, 2)"),
+    (BlockerSpec(0, 3, (1, 3, 2)), "offsets must increase strictly, got (1, 3, 2)"),
+    (BlockerSpec(0, 2, [2, 1, 3, 4]),
+     "offsets must increase strictly, got (2, 1, 3, 4)"),
+]
+
+
 def test_spec_validation_errors():
+    # Each refusal's whole text, through `validate` and the generator.
     ctx = PolygonContext(6)
-    with pytest.raises(InputError):
-        BlockerSpec(12, 3, (1, 2, 4)).validate(ctx)
-    with pytest.raises(InputError):
-        BlockerSpec(0, 1, (1, 2, 3, 4)).validate(ctx)
-    with pytest.raises(InputError):
-        BlockerSpec(0, 7, ()).validate(ctx)
-    with pytest.raises(InputError):
-        BlockerSpec(0, 3, (1, 2)).validate(ctx)  # wrong offset count
-    with pytest.raises(InputError):
-        BlockerSpec(0, 3, (0, 1, 2)).validate(ctx)  # below 1
-    with pytest.raises(InputError):
-        BlockerSpec(0, 3, (1, 2, 5)).validate(ctx)  # above m-2
-    with pytest.raises(InputError):
-        BlockerSpec(0, 3, (1, 2, 2)).validate(ctx)  # not strictly increasing
+    for spec, message in SPEC_REFUSALS:
+        for call in (spec.validate, lambda c: generate_blocker(c, spec)):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                call(ctx)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (x for x in (1, 2, 4)),
+    lambda: iter([1, 2, 4]),
+    lambda: [1, 2, 4],
+    lambda: type("Offsets", (tuple,), {})((1, 2, 4)),
+], ids=["generator", "iterator", "list", "tuple-subclass"])
+def test_spec_offsets_from_any_iterable_match_the_tuple_spec(make):
+    # A one-shot iterator used to be drained by `validate`, so the generator
+    # read it empty and returned the bare spine with `"eps":[]`.
+    ctx = PolygonContext(6)
+    twin = BlockerSpec(0, 3, (1, 2, 4))
+    for spec in (BlockerSpec(0, 3, make()), BlockerSpec(0, 3, eps=make()),
+                 BlockerSpec._make((0, 3, make())), twin._replace(eps=make())):
+        assert type(spec.eps) is tuple
+        assert spec == twin and hash(spec) == hash(twin)
+        assert repr(spec) == "BlockerSpec(start=0, t=3, eps=(1, 2, 4))"
+        assert generate_blocker(ctx, spec) == FIGURE_BLOCKER
+        assert blocker_to_json(ctx, spec) == blocker_to_json(ctx, twin)
+        assert blocker_to_json(ctx, spec)["eps"] == [1, 2, 4]
 
 
 def test_generate_examples():

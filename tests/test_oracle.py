@@ -195,7 +195,8 @@ def test_report_json_shape():
 # ---------------------------------------------------------------------------
 
 NAIVE_NODES = {1: 3, 2: 11, 3: 46, 4: 207, 5: 984}
-PRUNED_NODES = {1: 2, 2: 7, 3: 40, 4: 197, 5: 801, 6: 2887, 7: 9584, 8: 30057}
+PRUNED_NODES = {1: 2, 2: 7, 3: 40, 4: 197, 5: 801, 6: 2887, 7: 9584, 8: 30057,
+                9: 91009}
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,8 +210,11 @@ def test_naive_nodes_count_every_search_tree_call(m, nodes):
 
 
 @pytest.mark.parametrize("m,nodes", PRUNED_NODES.items())
-def test_pruned_nodes_count_every_dfs_call(m, nodes):
-    assert find_minimum_blockers(_index(m), MODE_CLASS_PRUNED).nodes == nodes
+def test_pruned_nodes_count_every_tree_node(m, nodes):
+    # The root plus every child, the pruned ones included; m = 9 is past
+    # the default cap.
+    result = find_minimum_blockers(_index(m), MODE_CLASS_PRUNED, pruned_cap=9)
+    assert result.nodes == nodes
 
 
 def _slow_search_naive(index):
@@ -324,6 +328,12 @@ def test_naive_search_finds_every_blocker_once_beyond_the_cap(m):
 @given(st.data())
 def test_pruned_search_equals_its_slow_twin_on_restricted_families(data):
     index = _draw_restricted(data, 2, 7)
+    assert _search_class_pruned(index) == _slow_search_class_pruned(index)
+
+
+def test_pruned_search_equals_its_slow_twin_on_the_whole_family():
+    # Same size, the same sets in the same order, and the same node count.
+    index = _index(8)
     assert _search_class_pruned(index) == _slow_search_class_pruned(index)
 
 
