@@ -16,6 +16,11 @@ structural condition), counts them in closed form, shrinks them into the
 polygon on 2m-2 vertices, and classifies boundary-edge subsets by the
 trichotomy used in half-boundary arguments.
 
+`enumerate_blockers` generates only start 0's 2^(m-2) blockers through
+`generate_blocker`, which stays the per-spec reference; starts 1..2m-1 are
+start 0's turned one vertex at a time.  The turn is exact, because a spec's
+start only adds s mod 2m to every vertex label.
+
 Generation and the structural checks work on int endpoints: generated
 edges are looked up in the context's `edge_of` table, and the scan unpacks
 each edge once and reports the input's own edges, boundary path included.
@@ -169,22 +174,51 @@ def generate_blocker(ctx: PolygonContext, spec: BlockerSpec) -> frozenset[Edge]:
     return frozenset(edges)
 
 
+def _start_specs(ctx: PolygonContext, start: int):
+    """The 2^(m-2) specs with one start: spine lengths ascending, offset
+    tuples in lexicographic order."""
+    m = ctx.m
+    return (BlockerSpec(start, t, eps) for t in range(2, m + 1)
+            for eps in itertools.combinations(range(1, m - 1), m - t))
+
+
 def enumerate_blocker_specs(ctx: PolygonContext) -> list[BlockerSpec]:
     """Every canonical spec once: starts ascending, spine lengths ascending,
     offset tuples in lexicographic order.  Refuses m past `DEFAULT_MAX_M`."""
     check_min(ctx.m, 2)
     check_cap(ctx.m, DEFAULT_MAX_M, "enumeration")
-    out = []
-    for start in range(ctx.n):
-        for t in range(2, ctx.m + 1):
-            for eps in itertools.combinations(range(1, ctx.m - 1), ctx.m - t):
-                out.append(BlockerSpec(start, t, eps))
-    return out
+    return [spec for start in range(ctx.n) for spec in _start_specs(ctx, start)]
+
+
+def _blockers_by_start(ctx: PolygonContext):
+    """`enumerate_blockers` as one list per start, start s + 1's made by
+    turning start s's one vertex.  Refuses m on the call, before any edge
+    is made; the lists come as the result is iterated."""
+    check_min(ctx.m, 2)
+    check_cap(ctx.m, DEFAULT_MAX_M, "enumeration")
+
+    def batches():
+        n, edge_of = ctx.n, ctx.edge_of
+        batch = [generate_blocker(ctx, spec) for spec in _start_specs(ctx, 0)]
+        yield batch
+        # Every blocker edge lies in an odd class, a + b odd, and so does its
+        # turn: at most m^2 entries, each a canonical edge to a canonical one.
+        turn = {edge_of[a, b]: edge_of[a + 1, (b + 1) % n]
+                for a in range(n - 1) for b in range(a + 1, n, 2)}
+        for _start in range(1, n):
+            batch = [frozenset(map(turn.__getitem__, blocker)) for blocker in batch]
+            yield batch
+
+    return batches()
 
 
 def enumerate_blockers(ctx: PolygonContext) -> list[frozenset[Edge]]:
-    """All m * 2^(m-1) blockers, each once; refuses m past `DEFAULT_MAX_M`."""
-    return [generate_blocker(ctx, spec) for spec in enumerate_blocker_specs(ctx)]
+    """All m * 2^(m-1) blockers, each once, in `enumerate_blocker_specs`
+    order: start 0's from `generate_blocker`, the per-spec reference, and
+    starts 1..2m-1 as start 0's turned one vertex at a time, exact because a
+    spec's start only adds s mod 2m to every label.  Refuses m past
+    `DEFAULT_MAX_M`."""
+    return list(itertools.chain.from_iterable(_blockers_by_start(ctx)))
 
 
 def count_blockers(m: int) -> int:
@@ -465,7 +499,11 @@ def classify_boundary_set(ctx: PolygonContext, boundary_edges) -> set[BoundaryCa
 
 def blocker_to_json(ctx: PolygonContext, spec: BlockerSpec) -> dict:
     """JSON form of one blocker with its canonical parameters."""
-    edges = generate_blocker(ctx, spec)  # validates the spec first
+    return _blocker_json(ctx, spec, generate_blocker(ctx, spec))  # validates first
+
+
+def _blocker_json(ctx: PolygonContext, spec: BlockerSpec, edges) -> dict:
+    """`blocker_to_json` of a spec whose blocker `edges` is already made."""
     return {
         "m": ctx.m,
         "start": spec.start,

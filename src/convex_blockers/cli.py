@@ -51,10 +51,12 @@ from typing import NoReturn
 
 from .blockers import (
     BlockerSpec,
+    _blocker_json,
+    _blockers_by_start,
+    _start_specs,
     blocker_to_json,
     count_blockers,
     count_blockers_by_spine,
-    enumerate_blocker_specs,
     generate_blocker,
     parse_blocker,
     validate_caterpillar,
@@ -169,13 +171,16 @@ def cmd_spm_triangular(ns: argparse.Namespace) -> int:
 
 def cmd_blocker_enumerate(ns: argparse.Namespace) -> int:
     ctx = PolygonContext(ns.m)
-    specs = enumerate_blocker_specs(ctx)
+    # Only start 0's specs pass through `generate_blocker` and its checks;
+    # later starts are turned.  At most two starts' sets are alive at once,
+    # and no list of all specs is built.
+    blockers = itertools.chain.from_iterable(_blockers_by_start(ctx))
     if ns.format == "json":
-        _write_chunks(_json_array("," + _json(blocker_to_json(ctx, spec))
-                                  for spec in specs))
+        specs = (spec for start in range(ctx.n) for spec in _start_specs(ctx, start))
+        _write_chunks(_json_array("," + _json(_blocker_json(ctx, spec, edges))
+                                  for spec, edges in zip(specs, blockers, strict=True)))
     else:
-        _write_chunks(edges_to_text(generate_blocker(ctx, spec)) + "\n"
-                      for spec in specs)
+        _write_chunks(edges_to_text(edges) + "\n" for edges in blockers)
     return 0
 
 

@@ -5,6 +5,11 @@ from their canonical parameters, finds all minimum blocking sets by
 independent search, and compares the two collections as sets; it also
 re-validates every set structurally and confirms by direct evaluation
 that each generated set really blocks every matching.
+
+The generation is `enumerate_blockers`: start 0's blockers come from
+`generate_blocker`, the per-spec reference, and starts 1..2m-1 are start
+0's turned one vertex at a time.  The turn is exact, because a spec's start
+only adds s mod 2m to every vertex label.
 """
 
 from __future__ import annotations

@@ -239,6 +239,22 @@ def test_enumerate_m2_exactly():
         edges("0-1,1-2"), edges("1-2,2-3"), edges("2-3,3-0"), edges("3-0,0-1")]
 
 
+def _slow_enumerate_blockers(ctx):
+    """`enumerate_blockers` before the rotation: every spec through
+    `generate_blocker` on its own."""
+    return [generate_blocker(ctx, spec) for spec in enumerate_blocker_specs(ctx)]
+
+
+@pytest.mark.parametrize("m", range(2, 12))
+def test_enumerate_agrees_with_the_slow_twin(m):
+    # Same sets, same order, and every edge the context's canonical object.
+    ctx = PolygonContext(m)
+    fast = enumerate_blockers(ctx)
+    assert fast == _slow_enumerate_blockers(ctx)
+    edge_of = ctx.edge_of
+    assert all(edge_of[e] is e for blocker in fast for e in blocker)
+
+
 @pytest.mark.parametrize("m", range(2, 8))
 def test_enumerate_count_and_distinctness(m):
     blockers = enumerate_blockers(PolygonContext(m))

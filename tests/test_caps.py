@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from convex_blockers import cli, verify
+from convex_blockers import blockers, cli, verify
 from convex_blockers.blockers import (
     BlockerSpec,
     count_blockers,
@@ -86,6 +86,22 @@ def cli_refusal(capsys, *argv) -> str:
         "blocker-count-by-spine"])
 def test_every_refusal_has_the_one_cap_format(capsys, m, what, cap, refuse):
     assert refuse(capsys) == f"m={m} exceeds the {what} cap {cap}"
+
+
+@pytest.mark.parametrize("m, error, message", [
+    (13, ResourceLimitError, "m=13 exceeds the enumeration cap 12"),
+    (1, InputError, "m must be >= 2, got 1"),
+], ids=["cap", "lower-bound"])
+@pytest.mark.parametrize("call", [
+    enumerate_blockers,
+    blockers._blockers_by_start,  # refuses on the call, before any iteration
+], ids=["enumerate_blockers", "_blockers_by_start"])
+def test_blocker_enumeration_refuses_before_any_edge_table(m, error, message, call):
+    ctx = PolygonContext(m)
+    with pytest.raises(error) as info:
+        call(ctx)
+    assert str(info.value) == message
+    assert not {"edge_of", "edge_table", "edge_rank"} & set(vars(ctx))
 
 
 def test_count_cap_is_the_largest_count_that_prints(capsys):

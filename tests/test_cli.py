@@ -14,7 +14,13 @@ import pytest
 
 import convex_blockers
 from conftest import edges
-from convex_blockers.blockers import BlockerSpec, enumerate_blockers, generate_blocker
+from convex_blockers.blockers import (
+    BlockerSpec,
+    blocker_to_json,
+    enumerate_blocker_specs,
+    enumerate_blockers,
+    generate_blocker,
+)
 from convex_blockers.cli import _CHUNK, run_cli
 from convex_blockers.geometry import Edge, PolygonContext, edges_to_lists, edges_to_text
 from convex_blockers.matchings import enumerate_spms, is_spm
@@ -367,6 +373,24 @@ def test_blocker_enumerate_stdout_is_pinned(capsys, fmt, m, digest):
                            "--format", fmt)
     assert (status, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["lines", "json"])
+@pytest.mark.parametrize("m", [7, 8])
+def test_blocker_enumerate_equals_the_per_spec_rendering(capsys, m, fmt):
+    # The command turns start 0's blockers through the other starts; the
+    # reference renders every spec through `generate_blocker` on its own.
+    ctx = PolygonContext(m)
+    specs = enumerate_blocker_specs(ctx)
+    if fmt == "json":
+        expected = json.dumps([blocker_to_json(ctx, spec) for spec in specs],
+                              separators=(",", ":")) + "\n"
+    else:
+        expected = "".join(edges_to_text(generate_blocker(ctx, spec)) + "\n"
+                           for spec in specs)
+    status, out, err = run(capsys, "blocker", "enumerate", "--m", str(m),
+                           "--format", fmt)
+    assert (status, out, err) == (0, expected, "")
 
 
 @pytest.mark.parametrize("fmt,m,digest", SPM_ENUMERATE_DIGESTS,
