@@ -27,6 +27,11 @@ each edge once and reports the input's own edges, boundary path included.
 `parse_blocker` followed by `validate_caterpillar` on the same frozenset
 object, as `blocker check` runs them, scans the set once: `_scan` keeps its
 last result, keyed by the identity of the context and of the set.
+
+The run rule: the boundary path is the longest cyclic run of boundary
+edges, ties to the smallest start position, the full cycle included.  The
+boundary edges are consecutive when that run holds every one of them, and
+only then, with at least two, is the run a spine and are the legs checked.
 """
 
 from __future__ import annotations
@@ -236,22 +241,6 @@ def count_blockers_by_spine(m: int, t: int) -> int:
     return math.comb(m - 2, t - 2)
 
 
-def _boundary_runs(ctx: PolygonContext, positions: dict[int, Edge]
-                   ) -> list[tuple[int, int]]:
-    """Maximal cyclic runs of the keys of `positions` as (start, length)."""
-    n = ctx.n
-    if len(positions) == n:
-        return [(0, n)]
-    runs = []
-    for p in sorted(positions):
-        if (p - 1) % n not in positions:
-            length = 1
-            while (p + length) % n in positions:
-                length += 1
-            runs.append((p, length))
-    return runs
-
-
 # (ctx, edges, result) of the last scan.  Only `_scan` names it.  The key is
 # identity, never equality: a set of plain pairs equals the matching `Edge`
 # set and must still be refused, and the strong references held here keep
@@ -276,10 +265,12 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
     leg distance gaps.  Returns (violations, boundary_path, spine): the
     violations and the input's own edges along the longest boundary run
     (ties go to the smallest start position), both tuples, and spine (start,
-    t, legs) once the boundary edges form a single run of length >= 2, else
+    t, legs) once that run of length t >= 2 holds every boundary edge, else
     None; legs are (attach, far, edge) triples in start-relative labels.
-    Every part is immutable, because the same `ctx` and `edges` objects
-    again get the cached result; a call that raises caches nothing.
+    A longest run that holds fewer, t below the boundary count, is the
+    boundary_not_consecutive violation.  Every part is immutable, because
+    the same `ctx` and `edges` objects again get the cached result; a call
+    that raises caches nothing.
     """
     global _scan_memo
     memo_ctx, memo_edges, result = _scan_memo
@@ -313,14 +304,21 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
         violations.append(StructuralViolation(
             VIOLATION_FEW_BOUNDARY, tuple(boundary.values())))
 
-    runs = _boundary_runs(ctx, boundary)
-    if len(runs) == 1:  # every blocker, and the full cycle
-        start, t = runs[0]
-    else:
-        if runs:
-            violations.append(StructuralViolation(
-                VIOLATION_NOT_CONSECUTIVE, tuple(boundary.values())))
-        start, t = max(runs, key=lambda run: (run[1], -run[0]), default=(0, 0))
+    # A run can start only at the first position or one after a gap; a walk
+    # from the first position inside a wrapping run is shorter than that run.
+    start = t = 0
+    previous = None
+    for p in sorted(boundary):
+        if p - 1 != previous:
+            k = 1
+            while k < n and (p + k) % n in boundary:
+                k += 1
+            if k > t:
+                start, t = p, k
+        previous = p
+    if t < len(boundary):
+        violations.append(StructuralViolation(
+            VIOLATION_NOT_CONSECUTIVE, tuple(boundary.values())))
     path = tuple(boundary[p % n] for p in range(start, start + t))
 
     for i, e in enumerate(edge_list):
@@ -333,16 +331,14 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
                 violations.append(StructuralViolation(VIOLATION_CROSSING, (e, f)))
 
     spine = None
-    if len(runs) == 1 and t >= 2:
+    if t == len(boundary) and t >= 2:
         legs = []
         for e in interior:
             a, b = e
-            ra = (a - start) % n
-            rb = (b - start) % n
-            if 1 <= ra <= t - 1 and t + 1 <= rb:
-                legs.append((ra, rb, e))
-            elif 1 <= rb <= t - 1 and t + 1 <= ra:
-                legs.append((rb, ra, e))
+            ra, rb = (a - start) % n, (b - start) % n
+            attach, far = (ra, rb) if ra < rb else (rb, ra)
+            if 1 <= attach <= t - 1 and t + 1 <= far:
+                legs.append((attach, far, e))
             else:
                 violations.append(
                     StructuralViolation(VIOLATION_BAD_ATTACHMENT, (e,)))
@@ -377,15 +373,13 @@ def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolati
     if violations:
         return violations[0]
     start, t, legs = spine
-    offsets: dict[int, int] = {}
-    for attach, far, _e in legs:
-        # attach + far == 2(t+j) - 1 pins down the class slot j; the offset
-        # is then half the width of the leg minus the boundary step.
-        j = (attach + far + 1) // 2 - t
-        offsets[j] = (far - attach - 1) // 2
-    if sorted(offsets) != list(range(1, ctx.m - t + 1)):
+    # attach + far == 2(t+j) - 1 pins down the class slot j; the offset is
+    # then half the width of the leg minus the boundary step.
+    slots = sorted(((attach + far + 1) // 2 - t, (far - attach - 1) // 2)
+                   for attach, far, _e in legs)
+    if [j for j, _offset in slots] != list(range(1, ctx.m - t + 1)):
         raise StructureError("leg classes do not fill the expected slots")
-    spec = BlockerSpec(start, t, tuple(offsets[j] for j in sorted(offsets)))
+    spec = BlockerSpec(start, t, tuple(offset for _j, offset in slots))
     if generate_blocker(ctx, spec) != edges:
         raise StructureError(
             f"parsed parameters {spec} do not regenerate the edge set")
@@ -434,10 +428,11 @@ def restrict_blocker(ctx: PolygonContext, edges, e: Edge, f: Edge
     immediately after it in the positive direction, outside the set.  In a
     genuine blocker no other edge touches f's vertices, so the image is a
     blocker of the polygon on 2m-2 vertices; any edge that does touch them
-    proves the input broken and raises StructureError.
+    proves the input broken and raises StructureError.  Every member must
+    be an `Edge` of the polygon, checked before anything else.
     """
     check_min(ctx.m, 2)
-    edges = frozenset(edges)
+    edges = frozenset(map(ctx.check_edge, edges))
     pe = boundary_position(ctx, e)
     if boundary_position(ctx, f) != (pe + 1) % ctx.n:
         raise InputError(

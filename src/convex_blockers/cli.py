@@ -34,8 +34,8 @@ formats, stream their output through `_write_chunks`: one
 `sys.stdout.write` per `_CHUNK` matchings or blockers, so an unbuffered
 stdout (`-u`) costs one system call per chunk, not one per line, and the
 text held at once stays bounded.  Their bytes are the same either way.
-Every other command prints its few lines; `verify` prints each m as it
-finishes.
+Every other command prints its few lines; `verify` prints one line per m
+once the whole range is verified.
 """
 
 from __future__ import annotations

@@ -16,7 +16,10 @@ def check_cap(m: int, cap: int, what: str) -> None:
 
 
 def check_min(m: int, least: int) -> None:
-    """Refuse m below `least` in the one lower-bound message."""
+    """Refuse an m that is not an int, or is below `least`, each in its one
+    message."""
+    if type(m) is not int:  # a bool is an int, but not a size
+        raise InputError(f"m must be an integer, got {m}")
     if m < least:
         raise InputError(f"m must be >= {least}, got {m}")
 

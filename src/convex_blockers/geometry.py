@@ -118,8 +118,6 @@ class PolygonContext:
     n: int  # vertices, 2m
 
     def __init__(self, m: int) -> None:
-        if type(m) is not int:  # a bool is an int, but not a size
-            raise InputError(f"m must be an integer, got {m}")
         check_min(m, 1)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", 2 * m)

@@ -355,6 +355,8 @@ EDGE_ENTRIES = {
     "edge_index": lambda ctx, members: [ctx.edge_index(e) for e in members],
     "render_figure": lambda ctx, members: render_figure(
         RenderSpec(m=ctx.m, solid=tuple(members))),
+    "restrict_blocker": lambda ctx, members: restrict_blocker(
+        ctx, members, Edge(0, 1), Edge(1, 2)),
 }
 
 
@@ -654,6 +656,45 @@ def test_scan_agrees_with_the_validated_predicates(case):
         assert positions[0] == min(p for p in range(n) if run_from(p) == longest)
 
 
+def _slow_boundary_runs(n, positions):
+    """The run finder `_scan` replaced: maximal cyclic runs of the keys of
+    `positions` as (start, length), the full cycle as the one run (0, n)."""
+    if len(positions) == n:
+        return [(0, n)]
+    runs = []
+    for p in sorted(positions):
+        if (p - 1) % n not in positions:
+            length = 1
+            while (p + length) % n in positions:
+                length += 1
+            runs.append((p, length))
+    return runs
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_longest_run_agrees_with_the_slow_twin(m):
+    # Every set of boundary edges: the path, its length, the consecutiveness
+    # violation and the spine gate, against the runs and the longest of them
+    # (ties to the smallest start) as `_scan` found them before.
+    ctx = PolygonContext(m)
+    n = ctx.n
+    by_position = {boundary_position(ctx, e): e for e in ctx.boundary_edges()}
+    positions = sorted(by_position)
+    for mask in range(1 << len(positions)):
+        chosen = {p: by_position[p] for i, p in enumerate(positions) if mask >> i & 1}
+        runs = _slow_boundary_runs(n, chosen)
+        start, t = max(runs, key=lambda run: (run[1], -run[0]), default=(0, 0))
+        edge_set = frozenset(chosen.values())
+        report = validate_caterpillar(ctx, edge_set)
+        assert report.boundary_path == tuple(chosen[p % n] for p in range(start, start + t))
+        assert report.spine_length == t
+        names = {v.name for v in report.violations}
+        assert (VIOLATION_NOT_CONSECUTIVE in names) == (len(runs) > 1)
+        spine = blockers._scan(ctx, edge_set)[2]
+        expected = (start, t) if len(runs) == 1 and t >= 2 else None
+        assert (spine[:2] if spine else None) == expected
+
+
 def _slow_is_tree(edges) -> bool:
     """The adjacency walk `_is_tree` replaced: count the touched vertices,
     then walk from one of them and require every vertex seen."""
@@ -732,6 +773,14 @@ def test_restrict_precondition_errors():
         restrict_blocker(ctx, blocker, Edge(0, 1), Edge(1, 2))  # f in the set
     with pytest.raises(InputError):
         restrict_blocker(ctx, blocker, Edge(2, 3), Edge(3, 4))  # e not in the set
+
+
+def test_restrict_refuses_a_member_outside_the_polygon():
+    # Unchecked, 3-99 would come out as the non-edge 1-97 of the 4-gon.
+    with pytest.raises(InputError, match=re.escape(
+            "vertex 99 out of range for a polygon on 6 vertices")):
+        restrict_blocker(PolygonContext(3), {Edge(0, 1), Edge(3, 99)},
+                         Edge(0, 1), Edge(1, 2))
 
 
 def test_restrict_structure_error_on_edge_at_deleted_vertex():

@@ -183,3 +183,19 @@ def test_every_library_lower_bound_has_the_one_message(m, least, call):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == f"m must be >= {least}, got {m}"
+
+
+@pytest.mark.parametrize("m, call", [
+    (2.5, lambda: count_blockers(2.5)),
+    (True, lambda: count_blockers(True)),
+    (2.5, lambda: count_blockers_by_spine(2.5, 2)),
+    (2.5, lambda: verify_special_blockers(2.5)),
+], ids=["count_blockers", "count_blockers-bool",
+        "count_blockers_by_spine", "verify_special_blockers"])
+def test_every_library_integer_check_has_the_one_message(monkeypatch, m, call):
+    # Refused by `check_min` before any cap or index, in the message
+    # `PolygonContext` gives (see `tests/test_geometry.py`).
+    monkeypatch.setattr(verify, "build_family_index", no_index)
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == f"m must be an integer, got {m}"
