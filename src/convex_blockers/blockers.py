@@ -43,7 +43,7 @@ import operator
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .errors import InputError, StructureError, check_cap, check_min
+from .errors import InputError, StructureError, check_cap, check_ints, check_min
 from .geometry import (
     Edge,
     PolygonContext,
@@ -197,24 +197,19 @@ def enumerate_blocker_specs(ctx: PolygonContext) -> list[BlockerSpec]:
 
 def _blockers_by_start(ctx: PolygonContext):
     """`enumerate_blockers` as one list per start, start s + 1's made by
-    turning start s's one vertex.  Refuses m on the call, before any edge
-    is made; the lists come as the result is iterated."""
+    turning start s's one vertex.  Refuses m when first advanced, before any edge."""
     check_min(ctx.m, 2)
     check_cap(ctx.m, DEFAULT_MAX_M, "enumeration")
-
-    def batches():
-        n, edge_of = ctx.n, ctx.edge_of
-        batch = [generate_blocker(ctx, spec) for spec in _start_specs(ctx, 0)]
+    n, edge_of = ctx.n, ctx.edge_of
+    batch = [generate_blocker(ctx, spec) for spec in _start_specs(ctx, 0)]
+    yield batch
+    # Every blocker edge lies in an odd class, a + b odd, and so does its
+    # turn: at most m^2 entries, each a canonical edge to a canonical one.
+    turn = {edge_of[a, b]: edge_of[a + 1, (b + 1) % n]
+            for a in range(n - 1) for b in range(a + 1, n, 2)}
+    for _start in range(1, n):
+        batch = [frozenset(map(turn.__getitem__, blocker)) for blocker in batch]
         yield batch
-        # Every blocker edge lies in an odd class, a + b odd, and so does its
-        # turn: at most m^2 entries, each a canonical edge to a canonical one.
-        turn = {edge_of[a, b]: edge_of[a + 1, (b + 1) % n]
-                for a in range(n - 1) for b in range(a + 1, n, 2)}
-        for _start in range(1, n):
-            batch = [frozenset(map(turn.__getitem__, blocker)) for blocker in batch]
-            yield batch
-
-    return batches()
 
 
 def enumerate_blockers(ctx: PolygonContext) -> list[frozenset[Edge]]:
@@ -236,6 +231,7 @@ def count_blockers_by_spine(m: int, t: int) -> int:
     """Blockers with a fixed oriented spine start and exactly t boundary
     edges: one per (m-t)-subset of {1..m-2}, i.e. C(m-2, t-2)."""
     check_min(m, 2)
+    check_ints(t=t)
     if not 2 <= t <= m:
         raise InputError(f"t must be in 2..{m}, got {t}")
     return math.comb(m - 2, t - 2)

@@ -54,7 +54,6 @@ from .blockers import (
     _blocker_json,
     _blockers_by_start,
     _start_specs,
-    blocker_to_json,
     count_blockers,
     count_blockers_by_spine,
     generate_blocker,
@@ -68,13 +67,7 @@ from .errors import (
     StructureError,
     check_cap,
 )
-from .geometry import (
-    PolygonContext,
-    edge_to_text,
-    edges_from_text,
-    edges_to_lists,
-    edges_to_text,
-)
+from .geometry import PolygonContext, edges_from_text, edges_to_lists, edges_to_text
 from .matchings import (
     _spm_splits,
     first_avoiding_spm,
@@ -142,11 +135,11 @@ def _matching_texts(splits, first: str, last: str):
 def cmd_spm_enumerate(ns: argparse.Namespace) -> int:
     ctx = PolygonContext(ns.m)
     if ns.format == "json":
-        # `_json` of the pair lists, one `,[[a,b],...]` at a time.
-        splits = _spm_splits(ctx, lambda a, b: "," + _json((a, b)), "")
+        # The bytes `_json` writes for the pair lists, one `,[[a,b],...]` at a time.
+        splits = _spm_splits(ctx, lambda a, b: f",[{a},{b}]", "")
         _write_chunks(_json_array(_matching_texts(splits, ",[", "]")))
     else:
-        splits = _spm_splits(ctx, lambda a, b: "," + edge_to_text(ctx.edge_of[a, b]), "")
+        splits = _spm_splits(ctx, lambda a, b: f",{a}-{b}", "")
         _write_chunks(_matching_texts(splits, "", "\n"))
     return 0
 
@@ -178,7 +171,7 @@ def cmd_blocker_enumerate(ns: argparse.Namespace) -> int:
     if ns.format == "json":
         specs = (spec for start in range(ctx.n) for spec in _start_specs(ctx, start))
         _write_chunks(_json_array("," + _json(_blocker_json(ctx, spec, edges))
-                                  for spec, edges in zip(specs, blockers, strict=True)))
+                                  for edges, spec in zip(blockers, specs, strict=True)))
     else:
         _write_chunks(edges_to_text(edges) + "\n" for edges in blockers)
     return 0
@@ -202,7 +195,7 @@ def cmd_blocker_check(ns: argparse.Namespace) -> int:
     report = validate_caterpillar(ctx, edges)
     miss = first_avoiding_spm(ctx, edges)
     if isinstance(parsed, BlockerSpec):
-        payload = {"ok": True, **blocker_to_json(ctx, parsed)}
+        payload = {"ok": True, **_blocker_json(ctx, parsed, edges)}
     else:
         payload = {"ok": False, **parsed.to_json()}
         payload["missed_spm"] = None if miss is None else edges_to_lists(miss)
@@ -265,43 +258,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimum blocking sets for non-crossing perfect matchings "
                     "of a convex polygon")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Argparse copies a parent's arguments ahead of the command's own.
+    polygon = argparse.ArgumentParser(add_help=False)
+    polygon.add_argument("--m", type=int, required=True)
+    listing = argparse.ArgumentParser(add_help=False, parents=[polygon])
+    listing.add_argument("--format", choices=("lines", "json"), default="lines")
 
     spm = sub.add_parser("spm", help="simple perfect matchings")
     spm_sub = spm.add_subparsers(dest="subcommand", required=True)
-    p = spm_sub.add_parser("enumerate", help="list every matching")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--format", choices=("lines", "json"), default="lines")
+    p = spm_sub.add_parser("enumerate", help="list every matching", parents=[listing])
     p.set_defaults(func=cmd_spm_enumerate)
-    p = spm_sub.add_parser("parallel", help="the l-th parallel matching")
-    p.add_argument("--m", type=int, required=True)
+    p = spm_sub.add_parser("parallel", help="the l-th parallel matching",
+                           parents=[polygon])
     p.add_argument("--l", type=int, required=True)
     p.set_defaults(func=cmd_spm_parallel)
-    p = spm_sub.add_parser("triangular",
+    p = spm_sub.add_parser("triangular", parents=[polygon],
                            help="triangular matching from three boundary edges")
-    p.add_argument("--m", type=int, required=True)
     p.add_argument("--edges", required=True, metavar="I1,I2,I3")
     p.set_defaults(func=cmd_spm_triangular)
 
     blocker = sub.add_parser("blocker", help="minimum blocking sets")
     blocker_sub = blocker.add_subparsers(dest="subcommand", required=True)
-    p = blocker_sub.add_parser("enumerate", help="list every blocker")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--format", choices=("lines", "json"), default="lines")
+    p = blocker_sub.add_parser("enumerate", help="list every blocker", parents=[listing])
     p.set_defaults(func=cmd_blocker_enumerate)
-    p = blocker_sub.add_parser("count", help="closed-form blocker count")
-    p.add_argument("--m", type=int, required=True)
+    p = blocker_sub.add_parser("count", help="closed-form blocker count",
+                               parents=[polygon])
     p.add_argument("--by-spine", action="store_true",
                    help="one count per spine length t = 2..m")
     p.set_defaults(func=cmd_blocker_count)
-    p = blocker_sub.add_parser("check",
+    p = blocker_sub.add_parser("check", parents=[polygon],
                                help="parse, structural report, blocking check")
-    p.add_argument("--m", type=int, required=True)
     p.add_argument("--edges", required=True, metavar="LIST",
                    help="comma-separated edges, e.g. 0-1,1-2,1-4")
     p.set_defaults(func=cmd_blocker_check)
 
-    p = sub.add_parser("oracle", help="brute-force minimum blocking sets")
-    p.add_argument("--m", type=int, required=True)
+    p = sub.add_parser("oracle", help="brute-force minimum blocking sets",
+                       parents=[polygon])
     p.add_argument("--mode", choices=("naive", "pruned"), default="pruned")
     p.set_defaults(func=cmd_oracle)
 
@@ -311,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--naive-up-to", type=int, default=4)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("render", help="draw an edge set as SVG")
-    p.add_argument("--m", type=int, required=True)
+    p = sub.add_parser("render", help="draw an edge set as SVG", parents=[polygon])
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--edges", metavar="LIST")
     group.add_argument("--blocker-spec", metavar="START,T,EPS...")

@@ -15,11 +15,17 @@ def check_cap(m: int, cap: int, what: str) -> None:
         raise ResourceLimitError(f"m={m} exceeds the {what} cap {cap}")
 
 
+def check_ints(**named) -> None:
+    """Refuse a named value that is not an int: `NAME must be an integer`."""
+    for name, value in named.items():
+        if type(value) is not int:  # a bool is an int, but not a size
+            raise InputError(f"{name} must be an integer, got {value}")
+
+
 def check_min(m: int, least: int) -> None:
     """Refuse an m that is not an int, or is below `least`, each in its one
     message."""
-    if type(m) is not int:  # a bool is an int, but not a size
-        raise InputError(f"m must be an integer, got {m}")
+    check_ints(m=m)
     if m < least:
         raise InputError(f"m must be >= {least}, got {m}")
 

@@ -18,7 +18,7 @@ import math
 from collections import namedtuple
 from typing import Iterator
 
-from .errors import InfeasibilityError, InputError, check_cap
+from .errors import InfeasibilityError, InputError, check_cap, check_ints
 from .geometry import Edge, PolygonContext, edges_cross, parallel_class
 
 __all__ = [
@@ -162,6 +162,7 @@ def catalan_number(n: int) -> int:
     The enumerator runs the interval-split recurrence and the tests keep
     it as this count's twin, so the count cross-checks the enumerator.
     """
+    check_ints(n=n)
     if n < 0:
         raise InputError("n must be >= 0")
     return math.comb(2 * n, n) // (n + 1)
@@ -190,6 +191,7 @@ class TriangularSpec(namedtuple("_TriangularSpec", "i1 i2 i3 p q r a b c")):
 
     @classmethod
     def from_positions(cls, ctx: PolygonContext, i1: int, i2: int, i3: int) -> "TriangularSpec":
+        check_ints(i1=i1, i2=i2, i3=i3)
         if not 1 <= i1 < i2 < i3 <= ctx.n:
             raise InputError(
                 f"positions must satisfy 1 <= i1 < i2 < i3 <= {ctx.n}, "
@@ -229,6 +231,7 @@ def triangular_spm_from_blocks(ctx: PolygonContext, start: int,
     fan-size view of a triangular matching, kept public beside the
     boundary-edge form that `spm triangular` takes.
     """
+    check_ints(start=start, a=a, b=b, c=c)
     if min(a, b, c) < 1 or a + b + c != ctx.m:
         raise InputError(
             f"fan sizes must be positive with a+b+c = m, got ({a}, {b}, {c})")

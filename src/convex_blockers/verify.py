@@ -19,7 +19,7 @@ from collections import namedtuple
 from contextlib import contextmanager
 
 from .blockers import enumerate_blockers, count_blockers, validate_caterpillar
-from .errors import InputError, check_cap, check_min
+from .errors import InputError, check_cap, check_ints, check_min
 from .geometry import PolygonContext, edges_to_lists, is_boundary_edge
 from .matchings import DEFAULT_MAX_M, catalan_number
 from .oracle import (
@@ -107,6 +107,9 @@ def verify_theorem(m_min: int, m_max: int, naive_up_to: int = 0, *,
     m <= naive_up_to.  An m beyond any cap (enumeration `DEFAULT_MAX_M`,
     pruned search `pruned_cap`, fixed naive search `DEFAULT_NAIVE_CAP` for
     m <= naive_up_to) is refused before any work, naming the first such m."""
+    for m in (m_min, m_max):
+        check_ints(m=m)
+    check_ints(naive_up_to=naive_up_to)
     if not 2 <= m_min <= m_max:
         raise InputError(f"need 2 <= m_min <= m_max, got {m_min}..{m_max}")
     for m in range(m_min, m_max + 1):

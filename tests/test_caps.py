@@ -17,7 +17,12 @@ from convex_blockers.blockers import (
 )
 from convex_blockers.errors import InputError, ResourceLimitError
 from convex_blockers.geometry import Edge, PolygonContext
-from convex_blockers.matchings import spm_pairs
+from convex_blockers.matchings import (
+    catalan_number,
+    spm_pairs,
+    triangular_spm,
+    triangular_spm_from_blocks,
+)
 from convex_blockers.oracle import (
     MODE_CLASS_PRUNED,
     MODE_NAIVE,
@@ -57,6 +62,9 @@ def cli_refusal(capsys, *argv) -> str:
     (13, "enumeration", 12,
      lambda capsys: cli_refusal(capsys, "blocker", "enumerate", "--m", "13")),
     (13, "enumeration", 12,
+     lambda capsys: cli_refusal(capsys, "blocker", "enumerate", "--m", "13",
+                                "--format", "json")),
+    (13, "enumeration", 12,
      lambda capsys: refusal(lambda: enumerate_blocker_specs(PolygonContext(13)))),
     (13, "enumeration", 12,
      lambda capsys: refusal(lambda: enumerate_blockers(PolygonContext(13)))),
@@ -80,6 +88,7 @@ def cli_refusal(capsys, *argv) -> str:
      lambda capsys: cli_refusal(capsys, "blocker", "count", "--m", "14272",
                                 "--by-spine")),
 ], ids=["spm_pairs", "spm-enumerate", "spm-enumerate-json", "blocker-enumerate",
+        "blocker-enumerate-json",
         "enumerate_blocker_specs", "enumerate_blockers",
         "naive-find_minimum_blockers", "naive-verify", "naive-oracle",
         "pruned-find_minimum_blockers", "pruned-verify", "pruned-oracle", "blocker-count",
@@ -94,7 +103,8 @@ def test_every_refusal_has_the_one_cap_format(capsys, m, what, cap, refuse):
 ], ids=["cap", "lower-bound"])
 @pytest.mark.parametrize("call", [
     enumerate_blockers,
-    blockers._blockers_by_start,  # refuses on the call, before any iteration
+    # A generator: it refuses when first advanced, before any edge.
+    lambda ctx: next(blockers._blockers_by_start(ctx)),
 ], ids=["enumerate_blockers", "_blockers_by_start"])
 def test_blocker_enumeration_refuses_before_any_edge_table(m, error, message, call):
     ctx = PolygonContext(m)
@@ -147,6 +157,7 @@ LOWER_BOUND_REFUSALS = [
     (["render", "--m", "0", "--edges", "0-1"], "m must be >= 1, got 0"),
     (["render", "--m", "0", "--blocker-spec", "0,2"], "m must be >= 1, got 0"),
     (["blocker", "enumerate", "--m", "1"], "m must be >= 2, got 1"),
+    (["blocker", "enumerate", "--m", "1", "--format", "json"], "m must be >= 2, got 1"),
     (["blocker", "count", "--m", "1"], "m must be >= 2, got 1"),
     (["blocker", "count", "--m", "1", "--by-spine"], "m must be >= 2, got 1"),
     (["blocker", "check", "--m", "1", "--edges", "0-1"], "m must be >= 2, got 1"),
@@ -190,12 +201,58 @@ def test_every_library_lower_bound_has_the_one_message(m, least, call):
     (True, lambda: count_blockers(True)),
     (2.5, lambda: count_blockers_by_spine(2.5, 2)),
     (2.5, lambda: verify_special_blockers(2.5)),
+    (2.5, lambda: verify_theorem(2.5, 3)),
+    (3.0, lambda: verify_theorem(2, 3.0)),
+    (True, lambda: verify_theorem(True, 3)),
 ], ids=["count_blockers", "count_blockers-bool",
-        "count_blockers_by_spine", "verify_special_blockers"])
+        "count_blockers_by_spine", "verify_special_blockers",
+        "verify_theorem-m_min", "verify_theorem-m_max", "verify_theorem-bool"])
 def test_every_library_integer_check_has_the_one_message(monkeypatch, m, call):
-    # Refused by `check_min` before any cap or index, in the message
-    # `PolygonContext` gives (see `tests/test_geometry.py`).
+    # Refused by `errors.check_ints` before any range test, cap or index, in
+    # the message `PolygonContext` gives (see `tests/test_geometry.py`).
     monkeypatch.setattr(verify, "build_family_index", no_index)
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == f"m must be an integer, got {m}"
+
+
+@pytest.mark.parametrize("name, value, call", [
+    ("t", 2.5, lambda: count_blockers_by_spine(5, 2.5)),
+    ("t", True, lambda: count_blockers_by_spine(5, True)),
+    ("n", 2.5, lambda: catalan_number(2.5)),
+    ("n", True, lambda: catalan_number(True)),
+    ("naive_up_to", 2.5, lambda: verify_theorem(2, 3, 2.5)),
+    ("i1", True, lambda: triangular_spm(PolygonContext(3), True, 3, 5)),
+    ("i3", 5.0, lambda: triangular_spm(PolygonContext(3), 1, 3, 5.0)),
+    ("start", 0.0, lambda: triangular_spm_from_blocks(PolygonContext(3), 0.0, 1, 1, 1)),
+    ("a", True, lambda: triangular_spm_from_blocks(PolygonContext(3), 0, True, 1, 1)),
+    ("c", 1.0, lambda: triangular_spm_from_blocks(PolygonContext(3), 0, 1, 1, 1.0)),
+], ids=["count_blockers_by_spine", "count_blockers_by_spine-bool", "catalan_number",
+        "catalan_number-bool", "verify_theorem-naive_up_to", "triangular_spm-bool",
+        "triangular_spm", "triangular_spm_from_blocks-start",
+        "triangular_spm_from_blocks-bool", "triangular_spm_from_blocks-fan"])
+def test_every_other_integer_check_names_its_argument(monkeypatch, name, value, call):
+    # The same test as for m, before any range test, cap or index.
+    monkeypatch.setattr(verify, "build_family_index", no_index)
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == f"{name} must be an integer, got {value}"
+
+
+@pytest.mark.parametrize("message, call", [
+    ("n must be >= 0", lambda: catalan_number(-1)),
+    ("t must be in 2..5, got 1", lambda: count_blockers_by_spine(5, 1)),
+    ("need 2 <= m_min <= m_max, got 3..2", lambda: verify_theorem(3, 2)),
+    ("positions must satisfy 1 <= i1 < i2 < i3 <= 6, got (0, 3, 5)",
+     lambda: triangular_spm(PolygonContext(3), 0, 3, 5)),
+    ("start must be in 0..5, got 6",
+     lambda: triangular_spm_from_blocks(PolygonContext(3), 6, 1, 1, 1)),
+    ("fan sizes must be positive with a+b+c = m, got (0, 1, 2)",
+     lambda: triangular_spm_from_blocks(PolygonContext(3), 0, 0, 1, 2)),
+], ids=["catalan_number", "count_blockers_by_spine", "verify_theorem",
+        "triangular_spm", "triangular_spm_from_blocks-start",
+        "triangular_spm_from_blocks-fans"])
+def test_an_int_out_of_range_keeps_its_range_message(message, call):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message

@@ -14,6 +14,7 @@ import pytest
 
 import convex_blockers
 from conftest import edges
+from convex_blockers import cli
 from convex_blockers.blockers import (
     BlockerSpec,
     blocker_to_json,
@@ -82,6 +83,17 @@ def test_spm_enumerate_json_matches_edge_sets(capsys, m):
     assert (status, err) == (0, "")
     spms = enumerate_spms(PolygonContext(m))
     assert out == json.dumps([edges_to_lists(s) for s in spms], separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["lines", "json"])
+def test_spm_enumerate_makes_no_edge(capsys, monkeypatch, fmt):
+    # Each edge's text comes from its two ints, so the edge store stays empty.
+    contexts = []
+    monkeypatch.setattr(cli, "PolygonContext",
+                        lambda m: contexts.append(PolygonContext(m)) or contexts[-1])
+    status, out, err = run(capsys, "spm", "enumerate", "--m", "6", "--format", fmt)
+    assert (status, err, len(contexts)) == (0, "", 1) and out
+    assert not {"edge_of", "edge_table", "edge_rank"} & set(vars(contexts[0]))
 
 
 def _child_env(unbuffered: bool) -> dict:
@@ -551,6 +563,45 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert status == 2
 
 
+# Each command that takes --m, with its other required flags.
+POLYGON_COMMANDS = [
+    ["spm", "enumerate"],
+    ["spm", "parallel", "--l", "1"],
+    ["spm", "triangular", "--edges", "1,2,3"],
+    ["blocker", "enumerate"],
+    ["blocker", "count"],
+    ["blocker", "check", "--edges", "0-1"],
+    ["oracle"],
+    ["render", "--edges", "0-1"],
+]
+
+
+@pytest.mark.parametrize("m_flag, message", [
+    ([], "error: the following arguments are required: --m\n"),
+    (["--m", "x"], "error: argument --m: invalid int value: 'x'\n"),
+], ids=["missing", "not-an-int"])
+@pytest.mark.parametrize("command", POLYGON_COMMANDS, ids=lambda command: "-".join(
+    word for word in command[:2] if not word.startswith("--")))
+def test_every_polygon_command_takes_m_as_a_required_int(capsys, tmp_path,
+                                                         command, m_flag, message):
+    target = tmp_path / "x.svg"
+    argv = [*command, *m_flag]
+    if command[0] == "render":
+        argv += ["--out", str(target)]
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err.startswith("usage: convex-blockers ") and err.endswith(message)
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("edges", ["1,x,9", "1,9"])
+def test_spm_triangular_bad_positions_is_domain_error(capsys, edges):
+    status, out, err = run(capsys, "spm", "triangular", "--m", "6", "--edges", edges)
+    assert (status, out) == (1, "")
+    assert err == ("error: --edges expects three comma-separated positions, "
+                   f"got {edges!r}\n")
+
+
 def test_domain_error_status(capsys):
     status, out, err = run(capsys, "spm", "parallel", "--m", "3", "--l", "9")
     assert status == 1
@@ -620,6 +671,15 @@ def test_render_bad_blocker_spec(tmp_path, capsys):
                          "--out", str(tmp_path / "x.svg"))
     assert status == 1
     assert "error:" in err
+
+
+def test_render_non_integer_blocker_spec_is_domain_error(tmp_path, capsys):
+    target = tmp_path / "x.svg"
+    status, out, err = run(capsys, "render", "--m", "6", "--blocker-spec", "0,a",
+                           "--out", str(target))
+    assert (status, out) == (1, "")
+    assert err == "error: --blocker-spec expects integers START,T[,EPS...], got '0,a'\n"
+    assert not target.exists()
 
 
 def test_render_repeated_edge_is_domain_error(tmp_path, capsys):
