@@ -31,7 +31,7 @@ from collections import namedtuple
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import InputError, check_min
+from .errors import InputError, check_ints, check_min
 
 __all__ = [
     "Edge",
@@ -183,6 +183,7 @@ class PolygonContext:
 
     def edge_at(self, index: int) -> Edge:
         """Inverse of edge_index."""
+        check_ints(index=index)
         if not 0 <= index < self.edge_count:
             raise InputError(
                 f"edge index {index} out of range 0..{self.edge_count - 1}")
@@ -246,6 +247,7 @@ def parallel_class(ctx: PolygonContext, class_id: int) -> list[Edge]:
     Odd classes have m members (two boundary edges and m-2 diagonals);
     even classes have m-1 diagonals.
     """
+    check_ints(class_id=class_id)
     if not 0 <= class_id < ctx.n:
         raise InputError(f"class id {class_id} out of range 0..{ctx.n - 1}")
     out = []

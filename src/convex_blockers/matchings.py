@@ -8,7 +8,8 @@ Besides it, two special families are constructed directly:
 
 * parallel matchings: the full parallel class of a boundary edge;
 * triangular matchings: three fans of mutually parallel nested edges
-  whose only boundary edges are three prescribed ones.
+  whose only boundary edges are three prescribed ones, built from their
+  fan sizes; the boundary-edge position form resolves to those sizes.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ def is_spm(ctx: PolygonContext, edges) -> bool:
             return False
         seen.add(e.a)
         seen.add(e.b)
-    if len(seen) != ctx.n:
-        return False
     return not any(edges_cross(ctx, e, f)
                    for e, f in itertools.combinations(edge_list, 2))
 
@@ -171,6 +170,7 @@ def catalan_number(n: int) -> int:
 def parallel_spm(ctx: PolygonContext, l: int) -> Matching:
     """The matching of all edges parallel to the boundary edge [l-1, l]:
     every edge whose endpoint sum is 2l-1 mod 2m."""
+    check_ints(l=l)
     if not 1 <= l <= ctx.m:
         raise InputError(f"l must be in 1..{ctx.m}, got {l}")
     return frozenset(parallel_class(ctx, (2 * l - 1) % ctx.n))
@@ -206,19 +206,12 @@ class TriangularSpec(namedtuple("_TriangularSpec", "i1 i2 i3 p q r a b c")):
         return cls(i1, i2, i3, p, q, r, ctx.m - q, ctx.m - r, ctx.m - p)
 
 
-def _fan(ctx: PolygonContext, position: int, size: int) -> list[Edge]:
-    """`size` nested edges parallel to the boundary edge [position-1, position]."""
-    return [ctx.edge(position - 1 - eps, position + eps) for eps in range(size)]
-
-
 def triangular_spm(ctx: PolygonContext, i1: int, i2: int, i3: int) -> Matching:
     """The matching of three parallel fans whose boundary edges are exactly
-    [i1-1,i1], [i2-1,i2], [i3-1,i3]."""
+    [i1-1,i1], [i2-1,i2], [i3-1,i3], built from the fan sizes they force."""
     spec = TriangularSpec.from_positions(ctx, i1, i2, i3)
-    edges = (_fan(ctx, spec.i1, spec.a)
-             + _fan(ctx, spec.i2, spec.b)
-             + _fan(ctx, spec.i3, spec.c))
-    return frozenset(edges)
+    return triangular_spm_from_blocks(ctx, (spec.i1 - spec.a) % ctx.n,
+                                      spec.a, spec.b, spec.c)
 
 
 def triangular_spm_from_blocks(ctx: PolygonContext, start: int,
@@ -226,10 +219,10 @@ def triangular_spm_from_blocks(ctx: PolygonContext, start: int,
     """Triangular matching from a starting vertex and the three fan sizes
     (the vertex circle splits into arcs of 2a, 2b and 2c vertices).
 
-    Delegates to the boundary-edge form; the implied positions always fit
-    the canonical range once position 0 is written as 2m.  The paper's
-    fan-size view of a triangular matching, kept public beside the
-    boundary-edge form that `spm triangular` takes.
+    Each arc of 2k vertices takes the k nested edges parallel to its middle
+    boundary edge.  The paper's fan-size view of a triangular matching;
+    `triangular_spm`, the boundary-edge form that `spm triangular` takes,
+    builds through it.
     """
     check_ints(start=start, a=a, b=b, c=c)
     if min(a, b, c) < 1 or a + b + c != ctx.m:
@@ -237,7 +230,8 @@ def triangular_spm_from_blocks(ctx: PolygonContext, start: int,
             f"fan sizes must be positive with a+b+c = m, got ({a}, {b}, {c})")
     if not 0 <= start < ctx.n:
         raise InputError(f"start must be in 0..{ctx.n - 1}, got {start}")
-    positions = sorted(((start + a - 1) % ctx.n + 1,
-                        (start + 2 * a + b - 1) % ctx.n + 1,
-                        (start + 2 * a + 2 * b + c - 1) % ctx.n + 1))
-    return triangular_spm(ctx, *positions)
+    edges = []
+    for k in (a, b, c):
+        edges += [ctx.edge(start + k - 1 - eps, start + k + eps) for eps in range(k)]
+        start += 2 * k
+    return frozenset(edges)

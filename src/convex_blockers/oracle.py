@@ -190,7 +190,8 @@ def _search_naive(index: SpmFamilyIndex) -> tuple[int, list[frozenset[Edge]], in
         nonlocal nodes
         nodes += 1
         if not need:
-            found.append(frozenset(map(ctx.edge_at, chosen)))
+            # The walk's indices are in range: read the table, not `edge_at`.
+            found.append(frozenset(map(ctx.edge_table.__getitem__, chosen)))
             return
         if not budget:
             return
@@ -212,7 +213,8 @@ def _search_class_pruned(index: SpmFamilyIndex
     ctx = index.ctx
     full = index.full_cover
     comp = [full & ~h for h in index.per_edge_hits]
-    class_edges = [[(e, comp[ctx.edge_index(e)]) for e in parallel_class(ctx, c)]
+    # `parallel_class` makes valid edges: rank them without `edge_index`'s checks.
+    class_edges = [[(e, comp[ctx.edge_rank[e]]) for e in parallel_class(ctx, c)]
                    for c in range(1, ctx.n, 2)]
     # unreach[i]: the matchings no edge of classes i.. onwards hits
     unreach = [full] * (len(class_edges) + 1)

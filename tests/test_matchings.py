@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from conftest import edges, random_spec
 from convex_blockers.blockers import BlockerSpec, enumerate_blockers, generate_blocker
 from convex_blockers.errors import InfeasibilityError, InputError, ResourceLimitError
-from convex_blockers.geometry import Edge, PolygonContext, are_parallel, edge_order, is_boundary_edge
+from convex_blockers.geometry import (
+    Edge,
+    PolygonContext,
+    are_parallel,
+    boundary_position,
+    edge_order,
+    is_boundary_edge,
+)
 from convex_blockers.matchings import (
     TriangularSpec,
     _spm_splits,
@@ -366,6 +373,19 @@ def test_triangular_spm_input_errors():
         triangular_spm(ctx, 3, 8, 13)
 
 
+def _slow_triangular_spm(ctx: PolygonContext, i1: int, i2: int, i3: int):
+    """Each fan placed around its own boundary edge, with the sizes
+    a = m-q, b = m-r, c = m-p solved here: the slow twin of the fan-size
+    builder."""
+    m = ctx.m
+    p, q, r = i2 - i1, i3 - i2, i1 + ctx.n - i3
+
+    def fan(position: int, size: int) -> list[Edge]:
+        return [ctx.edge(position - 1 - eps, position + eps) for eps in range(size)]
+
+    return frozenset(fan(i1, m - q) + fan(i2, m - r) + fan(i3, m - p))
+
+
 @pytest.mark.parametrize("m", range(2, 8))
 def test_triangular_exhaustive(m):
     ctx = PolygonContext(m)
@@ -379,6 +399,7 @@ def test_triangular_exhaustive(m):
         spec = TriangularSpec.from_positions(ctx, i1, i2, i3)
         assert (spec.a + spec.b, spec.b + spec.c, spec.c + spec.a) == (p, q, r)
         matching = triangular_spm(ctx, i1, i2, i3)
+        assert matching == _slow_triangular_spm(ctx, i1, i2, i3)
         assert is_spm(ctx, matching)
         assert matching in all_spms
         boundary = {e for e in matching if is_boundary_edge(ctx, e)}
@@ -406,7 +427,7 @@ def test_triangular_from_blocks_input_errors():
         triangular_spm_from_blocks(ctx, 12, 3, 2, 1)
 
 
-@pytest.mark.parametrize("m", range(3, 6))
+@pytest.mark.parametrize("m", range(3, 9))
 def test_triangular_from_blocks_exhaustive(m):
     ctx = PolygonContext(m)
     for start in range(ctx.n):
@@ -419,3 +440,7 @@ def test_triangular_from_blocks_exhaustive(m):
                 assert ctx.edge(start, start + 2 * a - 1) in matching
                 assert ctx.edge(start + 2 * a, start + 2 * a + 2 * b - 1) in matching
                 assert ctx.edge(start + 2 * a + 2 * b, start - 1) in matching
+                # and the position form at its three boundary edges builds it
+                positions = sorted(boundary_position(ctx, e) + 1
+                                   for e in matching if is_boundary_edge(ctx, e))
+                assert triangular_spm(ctx, *positions) == matching
