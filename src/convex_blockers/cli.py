@@ -14,6 +14,14 @@ tracer, profiler or debugger watches (`sys.settrace`, `sys.setprofile`, a
 `sys.monitoring` tool, or `bdb` loaded: coverage, cProfile, pdb) it raises
 `SystemExit` instead, so their reports still print at exit.
 
+A run imports only the modules its command uses and builds only its own
+parser path.  `build_parser(argv)` registers every command and subcommand
+with its help string, so help, usage and choice errors read the same on
+every run, but adds arguments and sub-parsers only to those `argv` names.
+`oracle`, `verify`, `render` and `json` are imported inside the commands
+that use them, and the package resolves its public names on first use, so
+`blocker check` loads none of the first three.
+
 Too small an m is refused with `m must be >= 1, got M` for the polygon,
 checked first, and `m must be >= 2, got M` for every `blocker` command and
 `render --blocker-spec`.  `verify` refuses `--m-min` below 2 by its range.
@@ -43,11 +51,8 @@ from __future__ import annotations
 import argparse
 import atexit
 import itertools
-import json
 import os
 import sys
-from pathlib import Path
-from typing import NoReturn
 
 from .blockers import (
     BlockerSpec,
@@ -74,16 +79,7 @@ from .matchings import (
     parallel_spm,
     triangular_spm,
 )
-from .oracle import (
-    MODE_CLASS_PRUNED,
-    MODE_NAIVE,
-    build_family_index,
-    check_search_cap,
-    find_minimum_blockers,
-    oracle_report_json,
-)
-from .render import RenderSpec, render_figure
-from .verify import verify_theorem
+
 
 def _count_cap() -> int:
     """The largest m whose count m * 2^(m-1) prints within the interpreter's
@@ -103,6 +99,7 @@ _CHUNK = 1024
 
 
 def _json(payload) -> str:
+    import json
     return json.dumps(payload, separators=(",", ":"))
 
 
@@ -206,6 +203,14 @@ def cmd_blocker_check(ns: argparse.Namespace) -> int:
 
 
 def cmd_oracle(ns: argparse.Namespace) -> int:
+    from .oracle import (
+        MODE_CLASS_PRUNED,
+        MODE_NAIVE,
+        build_family_index,
+        check_search_cap,
+        find_minimum_blockers,
+        oracle_report_json,
+    )
     ctx = PolygonContext(ns.m)
     mode = MODE_NAIVE if ns.mode == "naive" else MODE_CLASS_PRUNED
     check_search_cap(ns.m, mode)
@@ -216,6 +221,7 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
+    from .verify import verify_theorem
     reports = verify_theorem(ns.m_min, ns.m_max, ns.naive_up_to)
     for report in reports:
         print(_json(report.to_json()))
@@ -235,6 +241,7 @@ def _parse_blocker_spec_arg(text: str) -> BlockerSpec:
 
 
 def cmd_render(ns: argparse.Namespace) -> int:
+    from .render import RenderSpec, render_figure
     ctx = PolygonContext(ns.m)
     if ns.blocker_spec is not None:
         solid = generate_blocker(ctx, _parse_blocker_spec_arg(ns.blocker_spec))
@@ -246,80 +253,98 @@ def cmd_render(ns: argparse.Namespace) -> int:
                       dotted=tuple(dotted), labels=ns.labels)
     svg = render_figure(spec)
     try:
-        Path(ns.out).write_text(svg, encoding="utf-8")
+        with open(ns.out, "w", encoding="utf-8") as out:
+            out.write(svg)
     except OSError as exc:
         raise InputError(f"cannot write {ns.out}: {exc.strerror}") from None
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for `argv`.  Every command and subcommand is registered
+    with its help string, so help, usage and choice errors read the same
+    whatever `argv` holds, but only those whose name is a word of `argv`
+    get their arguments and sub-parsers: argparse enters a command's parser
+    only on a word equal to its name, so it never reaches an empty one."""
+    words = set(argv)
     parser = argparse.ArgumentParser(
         prog="convex-blockers",
         description="Minimum blocking sets for non-crossing perfect matchings "
                     "of a convex polygon")
     sub = parser.add_subparsers(dest="command", required=True)
-    # Argparse copies a parent's arguments ahead of the command's own.
-    polygon = argparse.ArgumentParser(add_help=False)
-    polygon.add_argument("--m", type=int, required=True)
-    listing = argparse.ArgumentParser(add_help=False, parents=[polygon])
-    listing.add_argument("--format", choices=("lines", "json"), default="lines")
 
-    spm = sub.add_parser("spm", help="simple perfect matchings")
-    spm_sub = spm.add_subparsers(dest="subcommand", required=True)
-    p = spm_sub.add_parser("enumerate", help="list every matching", parents=[listing])
-    p.set_defaults(func=cmd_spm_enumerate)
-    p = spm_sub.add_parser("parallel", help="the l-th parallel matching",
-                           parents=[polygon])
-    p.add_argument("--l", type=int, required=True)
-    p.set_defaults(func=cmd_spm_parallel)
-    p = spm_sub.add_parser("triangular", parents=[polygon],
-                           help="triangular matching from three boundary edges")
-    p.add_argument("--edges", required=True, metavar="I1,I2,I3")
-    p.set_defaults(func=cmd_spm_triangular)
+    def command(subparsers, name, summary, func=None):
+        """Register `name`; return its parser to fill if `argv` names it."""
+        p = subparsers.add_parser(name, help=summary)
+        if name not in words:
+            return None
+        if func is not None:
+            p.set_defaults(func=func)
+        return p
 
-    blocker = sub.add_parser("blocker", help="minimum blocking sets")
-    blocker_sub = blocker.add_subparsers(dest="subcommand", required=True)
-    p = blocker_sub.add_parser("enumerate", help="list every blocker", parents=[listing])
-    p.set_defaults(func=cmd_blocker_enumerate)
-    p = blocker_sub.add_parser("count", help="closed-form blocker count",
-                               parents=[polygon])
-    p.add_argument("--by-spine", action="store_true",
-                   help="one count per spine length t = 2..m")
-    p.set_defaults(func=cmd_blocker_count)
-    p = blocker_sub.add_parser("check", parents=[polygon],
-                               help="parse, structural report, blocking check")
-    p.add_argument("--edges", required=True, metavar="LIST",
-                   help="comma-separated edges, e.g. 0-1,1-2,1-4")
-    p.set_defaults(func=cmd_blocker_check)
+    def polygon(p):
+        p.add_argument("--m", type=int, required=True)
 
-    p = sub.add_parser("oracle", help="brute-force minimum blocking sets",
-                       parents=[polygon])
-    p.add_argument("--mode", choices=("naive", "pruned"), default="pruned")
-    p.set_defaults(func=cmd_oracle)
+    def listing(p):
+        polygon(p)
+        p.add_argument("--format", choices=("lines", "json"), default="lines")
 
-    p = sub.add_parser("verify", help="cross-check generator against search")
-    p.add_argument("--m-min", type=int, required=True)
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--naive-up-to", type=int, default=4)
-    p.set_defaults(func=cmd_verify)
+    if spm := command(sub, "spm", "simple perfect matchings"):
+        spm_sub = spm.add_subparsers(dest="subcommand", required=True)
+        if p := command(spm_sub, "enumerate", "list every matching", cmd_spm_enumerate):
+            listing(p)
+        if p := command(spm_sub, "parallel", "the l-th parallel matching",
+                        cmd_spm_parallel):
+            polygon(p)
+            p.add_argument("--l", type=int, required=True)
+        if p := command(spm_sub, "triangular",
+                        "triangular matching from three boundary edges",
+                        cmd_spm_triangular):
+            polygon(p)
+            p.add_argument("--edges", required=True, metavar="I1,I2,I3")
 
-    p = sub.add_parser("render", help="draw an edge set as SVG", parents=[polygon])
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--edges", metavar="LIST")
-    group.add_argument("--blocker-spec", metavar="START,T,EPS...")
-    p.add_argument("--thick-edges", metavar="LIST")
-    p.add_argument("--context-edges", metavar="LIST")
-    p.add_argument("--labels", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_render)
+    if blocker := command(sub, "blocker", "minimum blocking sets"):
+        blocker_sub = blocker.add_subparsers(dest="subcommand", required=True)
+        if p := command(blocker_sub, "enumerate", "list every blocker",
+                        cmd_blocker_enumerate):
+            listing(p)
+        if p := command(blocker_sub, "count", "closed-form blocker count",
+                        cmd_blocker_count):
+            polygon(p)
+            p.add_argument("--by-spine", action="store_true",
+                           help="one count per spine length t = 2..m")
+        if p := command(blocker_sub, "check", "parse, structural report, blocking check",
+                        cmd_blocker_check):
+            polygon(p)
+            p.add_argument("--edges", required=True, metavar="LIST",
+                           help="comma-separated edges, e.g. 0-1,1-2,1-4")
+
+    if p := command(sub, "oracle", "brute-force minimum blocking sets", cmd_oracle):
+        polygon(p)
+        p.add_argument("--mode", choices=("naive", "pruned"), default="pruned")
+
+    if p := command(sub, "verify", "cross-check generator against search", cmd_verify):
+        p.add_argument("--m-min", type=int, required=True)
+        p.add_argument("--m-max", type=int, required=True)
+        p.add_argument("--naive-up-to", type=int, default=4)
+
+    if p := command(sub, "render", "draw an edge set as SVG", cmd_render):
+        polygon(p)
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--edges", metavar="LIST")
+        group.add_argument("--blocker-spec", metavar="START,T,EPS...")
+        p.add_argument("--thick-edges", metavar="LIST")
+        p.add_argument("--context-edges", metavar="LIST")
+        p.add_argument("--labels", action=argparse.BooleanOptionalAction, default=True)
+        p.add_argument("--out", required=True)
 
     return parser
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -341,8 +366,9 @@ def _watched() -> bool:
             and any(monitoring.get_tool(tool) is not None for tool in range(6)))
 
 
-def main() -> NoReturn:
-    """Run the command line, then end the process with its status."""
+def main():
+    """Run the command line, then end the process with its status; it
+    does not return."""
     try:
         status = run_cli()
         # Flush here, so that a closed pipe raises inside the try block.

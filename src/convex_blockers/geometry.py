@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import cached_property
-from typing import Iterable, Iterator
 
 from .errors import InputError, check_ints, check_min
 
@@ -286,11 +286,12 @@ def edge_from_text(text: str) -> Edge:
     parts = text.strip().split("-")
     if len(parts) != 2:
         raise InputError(f"bad edge {text!r}; expected 'a-b'")
-    try:
-        a, b = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InputError(f"bad edge {text!r}; vertices must be integers") from None
-    return Edge(a, b)
+    # Plain ASCII digits only: `int` would also take `+1`, `0_1` and
+    # non-ASCII digits such as `٢`.
+    a, b = (part.strip() for part in parts)
+    if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
+        raise InputError(f"bad edge {text!r}; vertices must be integers")
+    return Edge(int(a), int(b))
 
 
 def edges_from_text(text: str) -> frozenset[Edge]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import InfeasibilityError, InputError, check_cap, check_ints
 from .geometry import Edge, PolygonContext, edges_cross, parallel_class

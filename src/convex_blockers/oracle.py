@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import InputError, check_cap
 from .geometry import Edge, PolygonContext, edges_to_lists, parallel_class

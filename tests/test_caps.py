@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from convex_blockers import blockers, cli, verify
+from convex_blockers import blockers, cli, oracle, verify
 from convex_blockers.blockers import (
     BlockerSpec,
     count_blockers,
@@ -128,7 +128,8 @@ def test_count_cap_is_the_largest_count_that_prints(capsys):
 ])
 def test_oracle_refuses_its_search_cap_before_the_index(capsys, monkeypatch,
                                                         m, mode, message):
-    monkeypatch.setattr(cli, "build_family_index", no_index)
+    # `oracle` is imported when the command runs, so it reads the patched name.
+    monkeypatch.setattr(oracle, "build_family_index", no_index)
     assert cli_refusal(capsys, "oracle", "--m", m, "--mode", mode) == message
 
 

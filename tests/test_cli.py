@@ -532,6 +532,13 @@ def test_blocker_check_over_a_fixed_corpus_is_pinned(capsys):
     assert digest.hexdigest() == CHECK_CORPUS_DIGEST
 
 
+@pytest.mark.parametrize("text", ["0-1,1-\u0662", "0-+1,0_1-2"])
+def test_blocker_check_refuses_vertex_text_that_is_not_ascii_digits(capsys, text):
+    status, out, err = run(capsys, "blocker", "check", "--m", "2", "--edges", text)
+    assert (status, out) == (1, "")
+    assert err.startswith("error: bad edge ") and err.endswith("; vertices must be integers\n")
+
+
 def test_oracle_naive_cap_maps_to_domain_error(capsys):
     status, out, err = run(capsys, "oracle", "--m", "6", "--mode", "naive")
     assert status == 1
@@ -697,3 +704,13 @@ def test_render_to_a_missing_directory_is_domain_error(tmp_path, capsys):
     assert (status, out) == (1, "")
     assert err.startswith(f"error: cannot write {target}: ")
     assert not target.parent.exists()
+
+
+def test_render_out_is_opened_as_given(tmp_path, capsys):
+    # A trailing slash names a directory: the path is not normalized into
+    # the file `x.svg`.
+    target = f"{tmp_path / 'x.svg'}/"
+    status, out, err = run(capsys, "render", "--m", "6",
+                           "--blocker-spec", "0,3,1,2,4", "--out", target)
+    assert (status, out, err) == (1, "", f"error: cannot write {target}: Is a directory\n")
+    assert list(tmp_path.iterdir()) == []

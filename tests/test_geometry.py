@@ -449,6 +449,8 @@ def test_edge_text_round_trip():
     assert edge_from_text("3-10") == Edge(3, 10)
     assert edges_to_text(edges_from_text("2-5,0-1,1-2")) == "0-1,1-2,2-5"
     assert edges_to_lists(edges_from_text("2-5,0-1")) == [[0, 1], [2, 5]]
+    # spaces around items and vertices are stripped
+    assert edges_from_text("0 - 1, 1 -2") == {Edge(0, 1), Edge(1, 2)}
 
 
 def test_edge_text_rejects_malformed():
@@ -463,3 +465,13 @@ def test_edge_text_rejects_malformed():
         edges_from_text("0-1,1-0,1-2")
     with pytest.raises(InputError, match="^repeated edge 0-1$"):
         edges_from_text("0-1, 0-1")
+
+
+# `int` takes each of these vertex texts: a non-ASCII digit, a sign, an
+# underscore between digits.
+@pytest.mark.parametrize("text", ["1-\u0662", "\u0660-1", "0-+1", "0_1-2", "1_0-2",
+                                  "0-1.0", "0-", "0-0x1"])
+def test_edge_text_takes_only_ascii_digits(text):
+    with pytest.raises(InputError) as info:
+        edge_from_text(text)
+    assert str(info.value) == f"bad edge {text!r}; vertices must be integers"

@@ -6,7 +6,9 @@ that refuses m below a lower bound.  Outside `geometry.py` no code projects
 an edge to the pair `(e.a, e.b)`: an `Edge` is that pair already.  No code
 reads the environment, so no knob can enter through it.  No module imports
 `dataclasses`, which would pull `inspect`, `ast` and their kin into every
-CLI start; the value types are namedtuples like `Edge`.
+CLI start; the value types are namedtuples like `Edge`.  A fresh CLI start
+imports only what its command uses: no `typing`, `pathlib` or `json`, and
+none of `oracle`, `render` and `verify` for `blocker check`.
 The naive search in `oracle.py` names no parallel-class fact and not the
 pruned search, so it stays a witness from the blocking definition alone.
 In the same way the tree test and the structural scan in `blockers.py`
@@ -196,15 +198,31 @@ def test_package_source_keeps_the_rules(path):
     assert findings(path.read_text(encoding="utf-8"), path.name) == []
 
 
-def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
-    # A fresh interpreter without site packages, so only the package's own
-    # imports can load them.
+def _imported(*args: str) -> set[str]:
+    """The modules a fresh interpreter imports to run `args`.  Without site
+    packages, only the package's own imports can load them."""
     src = Path(convex_blockers.__file__).resolve().parents[1]
-    probe = ("import sys, convex_blockers.cli\n"
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
-    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
-                          text=True, env={"PYTHONPATH": str(src)}, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    done = subprocess.run([sys.executable, "-S", "-X", "importtime", *args],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("args, unused", [
+    (("-c", "import convex_blockers.cli"),
+     ("dataclasses", "inspect", "typing", "pathlib", "json", "convex_blockers.oracle",
+      "convex_blockers.render", "convex_blockers.verify")),
+    (("-m", "convex_blockers", "blocker", "check", "--m", "4",
+      "--edges", "0-1,1-2,2-3,3-4"),
+     ("convex_blockers.oracle", "convex_blockers.render", "convex_blockers.verify")),
+    (("-m", "convex_blockers", "spm", "enumerate", "--m", "3"), ("json",)),
+], ids=["import-cli", "blocker-check", "spm-enumerate-lines"])
+def test_a_fresh_start_loads_only_what_its_command_uses(args, unused):
+    imported = _imported(*args)
+    assert "convex_blockers.cli" in imported
+    assert imported & set(unused) == set()
 
 
 def test_geometry_may_read_the_edge_pair():
