@@ -300,31 +300,36 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
         violations.append(StructuralViolation(
             VIOLATION_FEW_BOUNDARY, tuple(boundary.values())))
 
-    # A run can start only at the first position or one after a gap; a walk
-    # from the first position inside a wrapping run is shorter than that run.
+    # One walk per run, from the position whose predecessor is missing; the
+    # full cycle has no such position and is walked once, from 0.
     start = t = 0
-    previous = None
-    for p in sorted(boundary):
-        if p - 1 != previous:
-            k = 1
-            while k < n and (p + k) % n in boundary:
-                k += 1
-            if k > t:
-                start, t = p, k
-        previous = p
+    if len(boundary) == n:
+        t = n
+    else:
+        for p in sorted(boundary):
+            if (p - 1) % n not in boundary:
+                k = 1
+                while (p + k) % n in boundary:
+                    k += 1
+                if k > t:
+                    start, t = p, k
     if t < len(boundary):
         violations.append(StructuralViolation(
             VIOLATION_NOT_CONSECUTIVE, tuple(boundary.values())))
     path = tuple(boundary[p % n] for p in range(start, start + t))
 
+    size = len(edge_list)
     for i, e in enumerate(edge_list):
         a, b = e
-        for f in edge_list[i + 1:]:
+        j = i + 1
+        while j < size:
+            f = edge_list[j]
             c, d = f
             if c >= b:  # sorted by first vertex: no later edge crosses e
                 break
             if a < c and b < d:
                 violations.append(StructuralViolation(VIOLATION_CROSSING, (e, f)))
+            j += 1
 
     spine = None
     if t == len(boundary) and t >= 2:

@@ -289,9 +289,12 @@ def edge_from_text(text: str) -> Edge:
     # Plain ASCII digits only: `int` would also take `+1`, `0_1` and
     # non-ASCII digits such as `٢`.
     a, b = (part.strip() for part in parts)
-    if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
-        raise InputError(f"bad edge {text!r}; vertices must be integers")
-    return Edge(int(a), int(b))
+    if a.isascii() and a.isdigit() and b.isascii() and b.isdigit():
+        try:
+            return Edge(int(a), int(b))
+        except ValueError:  # more digits than `sys.get_int_max_str_digits()`
+            pass
+    raise InputError(f"bad edge {text!r}; vertices must be integers")
 
 
 def edges_from_text(text: str) -> frozenset[Edge]:

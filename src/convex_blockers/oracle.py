@@ -9,11 +9,13 @@ exactly one edge from each odd parallel class).
 Both searches run on complement masks built once before the walk: per edge,
 the matchings that avoid it, and in the pruned mode, per depth, the
 matchings that no remaining class can hit.  Adding an edge to a partial
-set is then one AND on the mask of the matchings still unhit, and the
-pruning bound is one more.  The naive search is the bounded search tree
-for hitting set: every blocking set holds an edge of the lowest matching
-still unhit, so it branches on those edges, for the budgets 0, 1, ... in
-turn until one admits a blocking set.
+set is then one AND on the mask of the matchings still unhit.  The pruned
+mode also stores each edge's mask ANDed with the bound of its depth, so a
+child is tested with one AND and only a kept child pays the second.  The
+naive search is the bounded search tree for hitting set: every blocking
+set holds an edge of the lowest matching still unhit, so it branches on
+those edges, for the budgets 0, 1, ... in turn until one admits a blocking
+set.
 """
 
 from __future__ import annotations
@@ -222,22 +224,25 @@ def _search_class_pruned(index: SpmFamilyIndex
         unreach[i] = unreach[i + 1]
         for _e, c in class_edges[i]:
             unreach[i] &= c
+    # A child's bound test (unhit & c) & unreach[i + 1] is unhit & c_bound,
+    # so a pruned child costs one AND and only a kept one computes unhit & c.
+    classes = [[(e, c, c & unreach[i + 1]) for e, c in edges]
+               for i, edges in enumerate(class_edges)]
     found: list[frozenset[Edge]] = []
     chosen: list[Edge] = []
     nodes = 1  # the root; each child is counted and bounded by its parent
 
     def walk(i: int, unhit: int) -> None:
         nonlocal nodes
-        if i == len(class_edges):
+        if i == len(classes):
             found.append(frozenset(chosen))
             return
-        nodes += len(class_edges[i])
-        bound = unreach[i + 1]
-        for e, c in class_edges[i]:
-            child = unhit & c
-            if not child & bound:
+        children = classes[i]
+        nodes += len(children)
+        for e, c, c_bound in children:
+            if not unhit & c_bound:
                 chosen.append(e)
-                walk(i + 1, child)
+                walk(i + 1, unhit & c)
                 chosen.pop()
 
     if not full & unreach[0]:

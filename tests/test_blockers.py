@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import re
 
 import pytest
@@ -693,6 +694,109 @@ def test_longest_run_agrees_with_the_slow_twin(m):
         spine = blockers._scan(ctx, edge_set)[2]
         expected = (start, t) if len(runs) == 1 and t >= 2 else None
         assert (spine[:2] if spine else None) == expected
+
+
+def _slow_scan(ctx, edges):
+    """The scan `_scan` replaced, without its memo: the crossing search
+    copies the tail of the sorted list for each edge, and the run finder
+    walks from the first position and from each one after a gap."""
+    n = ctx.n
+    edge_list = sorted(map(ctx.check_edge, edges))
+    violations = []
+    by_class = {}
+    boundary = {}
+    interior = []
+    for e in edge_list:
+        a, b = e
+        c = (a + b) % n
+        if c % 2 == 0:
+            violations.append(StructuralViolation(VIOLATION_EVEN_ORDER, (e,)))
+        elif c in by_class:
+            violations.append(
+                StructuralViolation(VIOLATION_DUPLICATE_CLASS, (by_class[c], e)))
+        else:
+            by_class[c] = e
+        if b - a == 1:
+            boundary[a] = e
+        elif b - a == n - 1:
+            boundary[n - 1] = e
+        else:
+            interior.append(e)
+    if len(boundary) < 2:
+        violations.append(StructuralViolation(
+            VIOLATION_FEW_BOUNDARY, tuple(boundary.values())))
+    start = t = 0
+    previous = None
+    for p in sorted(boundary):
+        if p - 1 != previous:
+            k = 1
+            while k < n and (p + k) % n in boundary:
+                k += 1
+            if k > t:
+                start, t = p, k
+        previous = p
+    if t < len(boundary):
+        violations.append(StructuralViolation(
+            VIOLATION_NOT_CONSECUTIVE, tuple(boundary.values())))
+    path = tuple(boundary[p % n] for p in range(start, start + t))
+    for i, e in enumerate(edge_list):
+        a, b = e
+        for f in edge_list[i + 1:]:
+            c, d = f
+            if c >= b:
+                break
+            if a < c and b < d:
+                violations.append(StructuralViolation(VIOLATION_CROSSING, (e, f)))
+    spine = None
+    if t == len(boundary) and t >= 2:
+        legs = []
+        for e in interior:
+            a, b = e
+            ra, rb = (a - start) % n, (b - start) % n
+            attach, far = (ra, rb) if ra < rb else (rb, ra)
+            if 1 <= attach <= t - 1 and t + 1 <= far:
+                legs.append((attach, far, e))
+            else:
+                violations.append(StructuralViolation(VIOLATION_BAD_ATTACHMENT, (e,)))
+        legs.sort()
+        for (p, pf, e1), (q, qf, e2) in itertools.combinations(legs, 2):
+            if p < q and p + pf <= q + qf:
+                violations.append(StructuralViolation(
+                    VIOLATION_LEG_GAP, tuple(sorted((e1, e2)))))
+        spine = (start, t, tuple(legs))
+    return tuple(violations), path, spine
+
+
+def _assert_scan_matches_the_slow_twin(ctx, edge_set):
+    # A fresh copy each, so that neither result comes from the memo.
+    assert (blockers._scan(ctx, frozenset(list(edge_set)))
+            == _slow_scan(ctx, frozenset(list(edge_set)))), sorted(edge_set)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_scan_agrees_with_the_slow_twin_on_blockers_and_swaps(m):
+    # Violations with their witnesses, path and spine, on every blocker and
+    # on 200 seeded one-edge swaps, which cross, repeat a class or break
+    # the spine.
+    ctx = PolygonContext(m)
+    family = enumerate_blockers(ctx)
+    for blocker in family:
+        _assert_scan_matches_the_slow_twin(ctx, blocker)
+    rng = random.Random(m)
+    every_edge = list(ctx.edges())
+    for _ in range(200):
+        blocker = rng.choice(family)
+        out = rng.choice(sorted(blocker))
+        into = rng.choice([e for e in every_edge if e not in blocker])
+        _assert_scan_matches_the_slow_twin(ctx, blocker - {out} | {into})
+
+
+@given(_edge_sets())
+@example(_boundary_set(3, range(6)))  # the full cycle
+@example((PolygonContext(4), frozenset(PolygonContext(4).edges())))  # every edge
+@example(_boundary_set(4, (7, 0, 3, 4)))  # a tie with the wrapping run
+def test_scan_agrees_with_the_slow_twin_on_any_edge_set(case):
+    _assert_scan_matches_the_slow_twin(*case)
 
 
 def _slow_is_tree(edges) -> bool:

@@ -532,10 +532,13 @@ def test_blocker_check_over_a_fixed_corpus_is_pinned(capsys):
     assert digest.hexdigest() == CHECK_CORPUS_DIGEST
 
 
-@pytest.mark.parametrize("text", ["0-1,1-\u0662", "0-+1,0_1-2"])
+@pytest.mark.parametrize("text", [
+    "0-1,1-\u0662", "0-+1,0_1-2",
+    # past `int`'s digit limit: one error line, not a ValueError's traceback
+    pytest.param("0-1,1-" + "1" * 5000, id="0-1,1-5000-digits")])
 def test_blocker_check_refuses_vertex_text_that_is_not_ascii_digits(capsys, text):
     status, out, err = run(capsys, "blocker", "check", "--m", "2", "--edges", text)
-    assert (status, out) == (1, "")
+    assert (status, out, err.count("\n")) == (1, "", 1)
     assert err.startswith("error: bad edge ") and err.endswith("; vertices must be integers\n")
 
 

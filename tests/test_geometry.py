@@ -467,10 +467,12 @@ def test_edge_text_rejects_malformed():
         edges_from_text("0-1, 0-1")
 
 
-# `int` takes each of these vertex texts: a non-ASCII digit, a sign, an
-# underscore between digits.
+# `int` takes each of these vertex texts but the last: a non-ASCII digit, a
+# sign, an underscore between digits.  It refuses a vertex of more digits
+# than `sys.get_int_max_str_digits()` (4300 by default) with a ValueError.
 @pytest.mark.parametrize("text", ["1-\u0662", "\u0660-1", "0-+1", "0_1-2", "1_0-2",
-                                  "0-1.0", "0-", "0-0x1"])
+                                  "0-1.0", "0-", "0-0x1",
+                                  pytest.param("1-" + "1" * 5000, id="1-5000-digits")])
 def test_edge_text_takes_only_ascii_digits(text):
     with pytest.raises(InputError) as info:
         edge_from_text(text)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,33 @@ def test_blocking_checks_match_the_definition(data):
     spms = enumerate_spms(ctx)
     assert is_blocking_set(index, chosen) == all(s & chosen for s in spms)
     assert missed_spms(index, chosen) == [s for s in spms if not s & chosen]
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_a_set_blocks_exactly_when_its_turn_does(m):
+    # `verify` checks start 0's blockers only and lets each stand for its
+    # rotation orbit, which rests on this: turning the polygon by one vertex
+    # maps matchings to matchings.  The turn here is vertex arithmetic,
+    # independent of the blocker layer's turn table.  Each blocker and a
+    # seeded one-edge swap of it, which mostly does not block.
+    ctx = PolygonContext(m)
+    n = ctx.n
+    index = build_family_index(ctx)
+    rng = random.Random(m)
+    every_edge = list(ctx.edges())
+
+    def turn(edge_set):
+        return frozenset(Edge((a + 1) % n, (b + 1) % n) for a, b in edge_set)
+
+    outcomes = set()
+    for blocker in enumerate_blockers(ctx):
+        out = rng.choice(sorted(blocker))
+        swap = blocker - {out} | {rng.choice([e for e in every_edge if e not in blocker])}
+        for edge_set in (blocker, swap):
+            blocks = is_blocking_set(index, edge_set)
+            assert is_blocking_set(index, turn(edge_set)) == blocks, sorted(edge_set)
+            outcomes.add(blocks)
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------------------

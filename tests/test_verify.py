@@ -15,6 +15,7 @@ from convex_blockers.blockers import (
 from convex_blockers.errors import InputError, ResourceLimitError
 from convex_blockers.geometry import PolygonContext, edge_class, is_boundary_edge, parallel_class
 from convex_blockers.matchings import first_avoiding_spm
+from convex_blockers.oracle import build_family_index, is_blocking_set
 from convex_blockers.verify import MAX_WITNESSES, verify_special_blockers, verify_theorem
 
 
@@ -166,3 +167,46 @@ def test_parser_and_blocking_check_agree_past_the_cap(m, blockers):
     for edge_set in cases:
         accepted = isinstance(parse_blocker(ctx, edge_set), BlockerSpec)
         assert accepted == (first_avoiding_spm(ctx, edge_set) is None), sorted(edge_set)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_blocking_checks_agree_with_checking_every_set(m, monkeypatch):
+    # The slow twin evaluates every generated set.  `verify` evaluates start
+    # 0's 2^(m-2) once the sets equal the found ones: each stands for its
+    # rotation orbit.
+    calls = []
+
+    def counting(index, edge_set):
+        calls.append(edge_set)
+        return is_blocking_set(index, edge_set)
+
+    monkeypatch.setattr(verify, "is_blocking_set", counting)
+    (report,) = verify_theorem(m, m, 0)
+    ctx = PolygonContext(m)
+    index = build_family_index(ctx)
+    generated = enumerate_blockers(ctx)
+    assert report.set_equality
+    assert report.blocks_all_spms == all(is_blocking_set(index, s) for s in generated)
+    assert calls == generated[:1 << (m - 2)]
+
+
+def test_a_non_blocking_set_past_start_0_fails_the_blocking_checks(monkeypatch):
+    # Without set equality the shortcut does not hold, and every generated
+    # set is evaluated: a non-blocking m-set at start 1 or later is found.
+    m = 5
+    ctx = PolygonContext(m)
+    index = build_family_index(ctx)
+    blockers = enumerate_blockers(ctx)
+    rng = random.Random(m)
+    position = rng.randrange(1 << (m - 2), len(blockers))
+    every_edge = list(ctx.edges())
+    while True:
+        swap = frozenset(rng.sample(every_edge, m))
+        if not is_blocking_set(index, swap):
+            break
+    fake = blockers[:position] + [swap] + blockers[position + 1:]
+    monkeypatch.setattr(verify, "enumerate_blockers", lambda ctx: fake)
+    (report,) = verify_theorem(m, m, 0)
+    assert report.verdict == "FAIL"
+    assert report.set_equality is False
+    assert report.blocks_all_spms is False
