@@ -26,12 +26,12 @@ Too small an m is refused with `m must be >= 1, got M` for the polygon,
 checked first, and `m must be >= 2, got M` for every `blocker` command and
 `render --blocker-spec`.  `verify` refuses `--m-min` below 2 by its range.
 Fixed size caps refuse with `m=M exceeds the WHAT cap CAP` before any
-work: enumeration (`DEFAULT_MAX_M`) for `spm enumerate`, `blocker
-enumerate`, `oracle` and `verify`; naive search (`DEFAULT_NAIVE_CAP`) and
-pruned search (`DEFAULT_PRUNED_CAP`) for `oracle`, which checks it before
-building the index, and `verify`, which checks every m of its range up
-front; count (14271, the largest m whose count the interpreter prints) for
-`blocker count` in both forms.  `blocker check` has no cap: its blocking
+work: enumeration (`DEFAULT_MAX_M`, 12) for `spm enumerate`, `blocker
+enumerate`, `oracle` and `verify`; naive search (`DEFAULT_NAIVE_CAP`, 5)
+and pruned search (`DEFAULT_PRUNED_CAP`, 11) for `oracle`, which checks it
+before building the index, and `verify`, which checks every m of its range
+up front; count (14271, the largest m whose count the interpreter prints)
+for `blocker count` in both forms.  `blocker check` has no cap: its blocking
 check is one (2m+1)-bit int row per vertex, and it makes only the set's edges.
 It hands `parse_blocker` and `validate_caterpillar` the same frozenset, so
 the set is scanned once: the scan keeps its last result, keyed by object
@@ -65,13 +65,7 @@ from .blockers import (
     parse_blocker,
     validate_caterpillar,
 )
-from .errors import (
-    InfeasibilityError,
-    InputError,
-    ResourceLimitError,
-    StructureError,
-    check_cap,
-)
+from .errors import DOMAIN_ERRORS, InputError, check_cap, quoted
 from .geometry import PolygonContext, edges_from_text, edges_to_lists, edges_to_text
 from .matchings import (
     _spm_splits,
@@ -147,14 +141,23 @@ def cmd_spm_parallel(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _ints(text: str, expects: str, count: int | None = None) -> list[int]:
+    """The comma-separated ints of `text`, `count` of them if given: ASCII
+    digits after a strip and an optional `-`, where `int` also takes `+1`,
+    `5_0` and `٣`.  Else refused as `EXPECTS, got TEXT`, cut by `quoted`."""
+    parts = [p.strip() for p in text.split(",")]
+    if count in (None, len(parts)) and all(
+            (digits := p.removeprefix("-")).isascii() and digits.isdigit() for p in parts):
+        try:
+            return [int(p) for p in parts]
+        except ValueError:  # more digits than `int` converts
+            pass
+    raise InputError(f"{expects}, got {quoted(text)}")
+
+
 def cmd_spm_triangular(ns: argparse.Namespace) -> int:
     ctx = PolygonContext(ns.m)
-    try:
-        i1, i2, i3 = (int(p) for p in ns.edges.split(","))
-    except ValueError:
-        raise InputError(
-            f"--edges expects three comma-separated positions, got {ns.edges!r}"
-        ) from None
+    i1, i2, i3 = _ints(ns.edges, "--edges expects three comma-separated positions", 3)
     print(edges_to_text(triangular_spm(ctx, i1, i2, i3)))
     return 0
 
@@ -229,12 +232,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def _parse_blocker_spec_arg(text: str) -> BlockerSpec:
-    try:
-        values = [int(p) for p in text.split(",")]
-    except ValueError:
-        raise InputError(
-            f"--blocker-spec expects integers START,T[,EPS...], got {text!r}"
-        ) from None
+    values = _ints(text, "--blocker-spec expects integers START,T[,EPS...]")
     if len(values) < 2:
         raise InputError("--blocker-spec needs at least START,T")
     return BlockerSpec(values[0], values[1], tuple(values[2:]))
@@ -349,7 +347,7 @@ def run_cli(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return ns.func(ns)
-    except (InputError, InfeasibilityError, StructureError, ResourceLimitError) as exc:
+    except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,6 +9,11 @@ class ResourceLimitError(RuntimeError):
     """A computation would exceed a configured size cap."""
 
 
+def quoted(text: str) -> str:
+    """A refusal's echo of `text`: its repr, or its first 40 characters' and `...`."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+
+
 def check_cap(m: int, cap: int, what: str) -> None:
     """Refuse m beyond `cap`, before any work, in the one cap message."""
     if m > cap:
@@ -36,3 +41,7 @@ class InfeasibilityError(ValueError):
 
 class StructureError(ValueError):
     """An edge set lacks the structure the operation relies on."""
+
+
+# What a CLI command reports on one `error:` line, with exit status 1.
+DOMAIN_ERRORS = (InputError, InfeasibilityError, StructureError, ResourceLimitError)

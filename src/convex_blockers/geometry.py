@@ -31,7 +31,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 
-from .errors import InputError, check_ints, check_min
+from .errors import InputError, check_ints, check_min, quoted
 
 __all__ = [
     "Edge",
@@ -285,7 +285,7 @@ def edges_to_text(edges: Iterable[Edge]) -> str:
 def edge_from_text(text: str) -> Edge:
     parts = text.strip().split("-")
     if len(parts) != 2:
-        raise InputError(f"bad edge {text!r}; expected 'a-b'")
+        raise InputError(f"bad edge {quoted(text)}; expected 'a-b'")
     # Plain ASCII digits only: `int` would also take `+1`, `0_1` and
     # non-ASCII digits such as `٢`.
     a, b = (part.strip() for part in parts)
@@ -294,7 +294,7 @@ def edge_from_text(text: str) -> Edge:
             return Edge(int(a), int(b))
         except ValueError:  # more digits than `sys.get_int_max_str_digits()`
             pass
-    raise InputError(f"bad edge {text!r}; vertices must be integers")
+    raise InputError(f"bad edge {quoted(text)}; vertices must be integers")
 
 
 def edges_from_text(text: str) -> frozenset[Edge]:

@@ -47,7 +47,7 @@ MODE_NAIVE = "naive"
 MODE_CLASS_PRUNED = "class_pruned"
 
 DEFAULT_NAIVE_CAP = 5
-DEFAULT_PRUNED_CAP = 8
+DEFAULT_PRUNED_CAP = 11
 
 
 class SpmFamilyIndex(namedtuple("_SpmFamilyIndex", "ctx spms per_edge_hits")):
@@ -129,19 +129,18 @@ class OracleResult(namedtuple(
     __slots__ = ()
 
 
-def check_search_cap(m: int, mode: str, *, pruned_cap: int = DEFAULT_PRUNED_CAP) -> None:
+def check_search_cap(m: int, mode: str) -> None:
     """Refuse an unknown mode, or m beyond its search cap, before any work.
-    `DEFAULT_NAIVE_CAP` is fixed; `pruned_cap` moves `DEFAULT_PRUNED_CAP`."""
+    Both caps are fixed: `DEFAULT_NAIVE_CAP` and `DEFAULT_PRUNED_CAP`."""
     if mode == MODE_NAIVE:
         check_cap(m, DEFAULT_NAIVE_CAP, "naive search")
     elif mode == MODE_CLASS_PRUNED:
-        check_cap(m, pruned_cap, "pruned search")
+        check_cap(m, DEFAULT_PRUNED_CAP, "pruned search")
     else:
         raise InputError(f"unknown oracle mode {mode!r}")
 
 
-def find_minimum_blockers(index: SpmFamilyIndex, mode: str = MODE_CLASS_PRUNED, *,
-                          pruned_cap: int = DEFAULT_PRUNED_CAP) -> OracleResult:
+def find_minimum_blockers(index: SpmFamilyIndex, mode: str = MODE_CLASS_PRUNED) -> OracleResult:
     """Search for all minimum blocking sets, sorted by their edge lists.
 
     naive        -- for the budgets 0, 1, ... in turn, branch on the edges
@@ -164,7 +163,7 @@ def find_minimum_blockers(index: SpmFamilyIndex, mode: str = MODE_CLASS_PRUNED, 
     pass the bound.
     `check_search_cap` refuses m first.
     """
-    check_search_cap(index.ctx.m, mode, pruned_cap=pruned_cap)
+    check_search_cap(index.ctx.m, mode)
     search = _search_naive if mode == MODE_NAIVE else _search_class_pruned
     started = time.perf_counter()
     size, sets, nodes = search(index)

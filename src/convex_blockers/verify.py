@@ -13,10 +13,8 @@ matching unhit at its leaf, and because turning the polygon by one vertex
 maps matchings to matchings, so a set blocks exactly when its turn does.
 When the collections differ, every generated set is evaluated.
 
-The generation is `enumerate_blockers`: start 0's blockers come from
-`generate_blocker`, the per-spec reference, and starts 1..2m-1 are start
-0's turned one vertex at a time.  The turn is exact, because a spec's start
-only adds s mod 2m to every vertex label.
+The generation is `enumerate_blockers`, which turns start 0's sets through
+the other starts (see the `blockers` module).
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from .errors import InputError, check_cap, check_ints, check_min
 from .geometry import PolygonContext, edges_to_lists, is_boundary_edge
 from .matchings import DEFAULT_MAX_M, catalan_number
 from .oracle import (
-    DEFAULT_PRUNED_CAP,
     MODE_CLASS_PRUNED,
     MODE_NAIVE,
     build_family_index,
@@ -108,11 +105,10 @@ class VerificationReport(namedtuple("_VerificationReport", (
         }
 
 
-def verify_theorem(m_min: int, m_max: int, naive_up_to: int = 0, *,
-                   pruned_cap: int = DEFAULT_PRUNED_CAP) -> list[VerificationReport]:
+def verify_theorem(m_min: int, m_max: int, naive_up_to: int = 0) -> list[VerificationReport]:
     """One report per m in m_min..m_max; the naive search also runs for
-    m <= naive_up_to.  An m beyond any cap (enumeration `DEFAULT_MAX_M`,
-    pruned search `pruned_cap`, fixed naive search `DEFAULT_NAIVE_CAP` for
+    m <= naive_up_to.  An m beyond any fixed cap (enumeration `DEFAULT_MAX_M`,
+    pruned search `DEFAULT_PRUNED_CAP`, naive search `DEFAULT_NAIVE_CAP` for
     m <= naive_up_to) is refused before any work, naming the first such m."""
     for m in (m_min, m_max):
         check_ints(m=m)
@@ -121,16 +117,13 @@ def verify_theorem(m_min: int, m_max: int, naive_up_to: int = 0, *,
         raise InputError(f"need 2 <= m_min <= m_max, got {m_min}..{m_max}")
     for m in range(m_min, m_max + 1):
         check_cap(m, DEFAULT_MAX_M, "enumeration")
-        check_search_cap(m, MODE_CLASS_PRUNED, pruned_cap=pruned_cap)
+        check_search_cap(m, MODE_CLASS_PRUNED)
         if m <= naive_up_to:
             check_search_cap(m, MODE_NAIVE)
-    return [
-        _verify_single(m, naive=m <= naive_up_to, pruned_cap=pruned_cap)
-        for m in range(m_min, m_max + 1)
-    ]
+    return [_verify_single(m, naive=m <= naive_up_to) for m in range(m_min, m_max + 1)]
 
 
-def _verify_single(m: int, *, naive: bool, pruned_cap: int) -> VerificationReport:
+def _verify_single(m: int, *, naive: bool) -> VerificationReport:
     ctx = PolygonContext(m)
     durations: list[tuple[str, float]] = []
 
@@ -139,7 +132,7 @@ def _verify_single(m: int, *, naive: bool, pruned_cap: int) -> VerificationRepor
     with _timed(durations, "blocker_generation"):
         generated = enumerate_blockers(ctx)
     with _timed(durations, "oracle_class_pruned"):
-        pruned = find_minimum_blockers(index, MODE_CLASS_PRUNED, pruned_cap=pruned_cap)
+        pruned = find_minimum_blockers(index, MODE_CLASS_PRUNED)
 
     generated_sets = set(generated)
     oracle_sets = set(pruned.minimum_sets)

@@ -27,6 +27,7 @@ from convex_blockers.matchings import (
 from convex_blockers.oracle import (
     MODE_CLASS_PRUNED,
     MODE_NAIVE,
+    SpmFamilyIndex,
     build_family_index,
     find_minimum_blockers,
 )
@@ -76,13 +77,15 @@ def cli_refusal(capsys, *argv) -> str:
      lambda capsys: refusal(lambda: verify_theorem(2, 6, 6))),
     (6, "naive search", 5,
      lambda capsys: cli_refusal(capsys, "oracle", "--m", "6", "--mode", "naive")),
-    (9, "pruned search", 8,
+    # The cap is checked before the search reads the index, so a stub
+    # stands in for the m = 12 one.
+    (12, "pruned search", 11,
      lambda capsys: refusal(lambda: find_minimum_blockers(
-         build_family_index(PolygonContext(9)), MODE_CLASS_PRUNED))),
-    (9, "pruned search", 8,
-     lambda capsys: refusal(lambda: verify_theorem(2, 9))),
-    (9, "pruned search", 8,
-     lambda capsys: cli_refusal(capsys, "oracle", "--m", "9")),
+         SpmFamilyIndex(PolygonContext(12), (), ()), MODE_CLASS_PRUNED))),
+    (12, "pruned search", 11,
+     lambda capsys: refusal(lambda: verify_theorem(2, 12))),
+    (12, "pruned search", 11,
+     lambda capsys: cli_refusal(capsys, "oracle", "--m", "12")),
     (14272, "count", 14271,
      lambda capsys: cli_refusal(capsys, "blocker", "count", "--m", "14272")),
     (14272, "count", 14271,
@@ -123,7 +126,7 @@ def test_count_cap_is_the_largest_count_that_prints(capsys):
 
 
 @pytest.mark.parametrize("m, mode, message", [
-    ("12", "pruned", "m=12 exceeds the pruned search cap 8"),
+    ("12", "pruned", "m=12 exceeds the pruned search cap 11"),
     ("11", "naive", "m=11 exceeds the naive search cap 5"),
 ])
 def test_oracle_refuses_its_search_cap_before_the_index(capsys, monkeypatch,
@@ -134,16 +137,16 @@ def test_oracle_refuses_its_search_cap_before_the_index(capsys, monkeypatch,
 
 
 def test_verify_applies_the_enumeration_cap_up_front(monkeypatch):
-    # A pruned cap past the enumeration cap still meets it before any work.
+    # m = 13 is past both caps: the enumeration cap is named, before any work.
     monkeypatch.setattr(verify, "build_family_index", no_index)
     with pytest.raises(ResourceLimitError, match="m=13 exceeds the enumeration cap 12"):
-        verify_theorem(12, 13, pruned_cap=13)
+        verify_theorem(13, 13)
 
 
 def test_special_blockers_refuse_the_pruned_cap_before_the_index(monkeypatch):
     monkeypatch.setattr(verify, "build_family_index", no_index)
-    with pytest.raises(ResourceLimitError, match="m=9 exceeds the pruned search cap 8"):
-        verify_special_blockers(9)
+    with pytest.raises(ResourceLimitError, match="m=12 exceeds the pruned search cap 11"):
+        verify_special_blockers(12)
 
 
 LOWER_BOUND_REFUSALS = [

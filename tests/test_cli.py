@@ -249,6 +249,13 @@ def test_oracle_pruned(capsys):
     assert payload["count"] == 32
 
 
+def test_oracle_runs_past_m_8_up_to_the_pruned_cap(capsys):
+    # The pruned cap is 11; m = 9 finds all m * 2^(m-1) sets.
+    status, out, err = run(capsys, "oracle", "--m", "9")
+    assert (status, err) == (0, "")
+    assert '"count":2304,' in out and '"nodes":91009,' in out
+
+
 # SHA-256 of the `oracle` stdout with its "millis" field cut out.  The
 # pruned digests were recorded before the searches moved to complement
 # masks; the naive ones were re-pinned when its `nodes` became search-tree
@@ -540,6 +547,9 @@ def test_blocker_check_refuses_vertex_text_that_is_not_ascii_digits(capsys, text
     status, out, err = run(capsys, "blocker", "check", "--m", "2", "--edges", text)
     assert (status, out, err.count("\n")) == (1, "", 1)
     assert err.startswith("error: bad edge ") and err.endswith("; vertices must be integers\n")
+    if len(text) > 40:  # the refusal echoes the edge's first 40 characters
+        assert err == "error: bad edge '1-" + "1" * 38 + "'...; vertices must be integers\n"
+        assert len(err) < 200
 
 
 def test_oracle_naive_cap_maps_to_domain_error(capsys):
@@ -604,7 +614,10 @@ def test_every_polygon_command_takes_m_as_a_required_int(capsys, tmp_path,
     assert not target.exists()
 
 
-@pytest.mark.parametrize("edges", ["1,x,9", "1,9"])
+# The positions are ASCII digits after an optional `-`: `int` would read
+# `\u0665` as 5, `+9` and `0_9` as 9, and so take three of these as (1, 5, 9).
+@pytest.mark.parametrize("edges", ["1,x,9", "1,9", "1,\u0665,9", "1,5,+9", "1,5,0_9",
+                                   "1,5,- 9"])
 def test_spm_triangular_bad_positions_is_domain_error(capsys, edges):
     status, out, err = run(capsys, "spm", "triangular", "--m", "6", "--edges", edges)
     assert (status, out) == (1, "")
@@ -685,10 +698,39 @@ def test_render_bad_blocker_spec(tmp_path, capsys):
 
 def test_render_non_integer_blocker_spec_is_domain_error(tmp_path, capsys):
     target = tmp_path / "x.svg"
-    status, out, err = run(capsys, "render", "--m", "6", "--blocker-spec", "0,a",
+    # Read by `int`, each text after the first is the valid spec (0, 6).
+    for spec in ["0,a", "0,\u0666", "+0,6", "0_0,6"]:
+        status, out, err = run(capsys, "render", "--m", "6", "--blocker-spec", spec,
+                               "--out", str(target))
+        assert (status, out) == (1, "")
+        assert err == ("error: --blocker-spec expects integers START,T[,EPS...], "
+                       f"got {spec!r}\n")
+        assert not target.exists()
+
+
+def test_render_blocker_spec_keeps_a_leading_minus(tmp_path, capsys):
+    target = tmp_path / "x.svg"
+    status, out, err = run(capsys, "render", "--m", "4", "--blocker-spec=-1,4",
                            "--out", str(target))
-    assert (status, out) == (1, "")
-    assert err == "error: --blocker-spec expects integers START,T[,EPS...], got '0,a'\n"
+    assert (status, out, err) == (1, "", "error: start must be in 0..7, got -1\n")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spm", "triangular", "--m", "6", "--edges", "1,5," + "9" * 5000],
+     "--edges expects three comma-separated positions, got '1,5," + "9" * 36 + "'..."),
+    (["render", "--m", "4", "--blocker-spec", "0," + "4" * 5000],
+     "--blocker-spec expects integers START,T[,EPS...], got '0," + "4" * 38 + "'..."),
+], ids=["spm-triangular", "render-blocker-spec"])
+def test_an_int_list_refusal_echoes_only_the_start_of_a_long_text(tmp_path, capsys,
+                                                                  argv, message):
+    # Past `int`'s digit limit; the echo is the text's first 40 characters.
+    target = tmp_path / "x.svg"
+    if argv[0] == "render":
+        argv = [*argv, "--out", str(target)]
+    status, out, err = run(capsys, *argv)
+    assert (status, out, err) == (1, "", f"error: {message}\n")
+    assert len(err) < 200
     assert not target.exists()
 
 

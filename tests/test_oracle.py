@@ -195,8 +195,10 @@ def test_search_caps():
     index = build_family_index(PolygonContext(6))
     with pytest.raises(ResourceLimitError):
         find_minimum_blockers(index, MODE_NAIVE)
-    with pytest.raises(ResourceLimitError):
-        find_minimum_blockers(index, MODE_CLASS_PRUNED, pruned_cap=5)
+    # The pruned cap is checked before the search reads the index, so a stub
+    # stands in for the m = 12 one.
+    with pytest.raises(ResourceLimitError, match="^m=12 exceeds the pruned search cap 11$"):
+        find_minimum_blockers(SpmFamilyIndex(PolygonContext(12), (), ()), MODE_CLASS_PRUNED)
 
 
 def test_unknown_mode_rejected():
@@ -239,9 +241,8 @@ def test_naive_nodes_count_every_search_tree_call(m, nodes):
 
 @pytest.mark.parametrize("m,nodes", PRUNED_NODES.items())
 def test_pruned_nodes_count_every_tree_node(m, nodes):
-    # The root plus every child, the pruned ones included; m = 9 is past
-    # the default cap.
-    result = find_minimum_blockers(_index(m), MODE_CLASS_PRUNED, pruned_cap=9)
+    # The root plus every child, the pruned ones included.
+    result = find_minimum_blockers(_index(m), MODE_CLASS_PRUNED)
     assert result.nodes == nodes
 
 

@@ -59,7 +59,7 @@ def test_verify_argument_errors():
     with pytest.raises(InputError):
         verify_theorem(4, 3, 0)
     with pytest.raises(ResourceLimitError):
-        verify_theorem(2, 9, 0)
+        verify_theorem(2, 12, 0)
 
 
 def test_naive_cap_is_refused_before_any_work(monkeypatch):
