@@ -19,11 +19,10 @@ __version__ = "0.1.0"
 
 # Each submodule and the public names it defines.
 _EXPORTS = {
-    "blockers": ("BlockerSpec", "BoundaryCase", "CaterpillarReport",
-                 "StructuralViolation", "classify_boundary_set", "count_blockers",
-                 "count_blockers_by_spine", "enumerate_blocker_specs",
-                 "enumerate_blockers", "generate_blocker", "parse_blocker",
-                 "restrict_blocker", "validate_caterpillar"),
+    "blockers": ("BlockerSpec", "CaterpillarReport", "StructuralViolation",
+                 "count_blockers", "count_blockers_by_spine", "enumerate_blockers",
+                 "generate_blocker", "parse_blocker", "restrict_blocker",
+                 "validate_caterpillar"),
     "cli": (),
     "errors": ("InfeasibilityError", "InputError", "ResourceLimitError",
                "StructureError"),
@@ -35,7 +34,7 @@ _EXPORTS = {
     "oracle": ("OracleResult", "SpmFamilyIndex", "build_family_index",
                "find_minimum_blockers", "is_blocking_set", "missed_spms"),
     "render": ("RenderSpec", "render_figure"),
-    "verify": ("VerificationReport", "verify_special_blockers", "verify_theorem"),
+    "verify": ("VerificationReport", "verify_theorem"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -12,9 +12,8 @@ Every such set has exactly one edge in each odd parallel class, is a
 crossing-free caterpillar tree, and never touches the vertex start-1.
 This module generates these sets, inverts the generation (parsing an
 arbitrary edge set back to its parameters or reporting the first broken
-structural condition), counts them in closed form, shrinks them into the
-polygon on 2m-2 vertices, and classifies boundary-edge subsets by the
-trichotomy used in half-boundary arguments.
+structural condition), counts them in closed form, and shrinks them into
+the polygon on 2m-2 vertices.
 
 `enumerate_blockers` generates only start 0's 2^(m-2) blockers through
 `generate_blocker`, which stays the per-spec reference; starts 1..2m-1 are
@@ -36,14 +35,13 @@ only then, with at least two, is the run a spine and are the legs checked.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 import operator
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .errors import InputError, StructureError, check_cap, check_ints, check_min
+from .errors import InputError, StructureError, check_cap, check_ints, check_min, clipped
 from .geometry import (
     Edge,
     PolygonContext,
@@ -57,16 +55,13 @@ __all__ = [
     "BlockerSpec",
     "StructuralViolation",
     "CaterpillarReport",
-    "BoundaryCase",
     "generate_blocker",
-    "enumerate_blocker_specs",
     "enumerate_blockers",
     "count_blockers",
     "count_blockers_by_spine",
     "parse_blocker",
     "validate_caterpillar",
     "restrict_blocker",
-    "classify_boundary_set",
     "blocker_to_json",
     "VIOLATION_NOT_A_TREE",
     "VIOLATION_EVEN_ORDER",
@@ -115,16 +110,20 @@ class BlockerSpec(namedtuple("_BlockerSpec", "start t eps", defaults=((),))):
             raise InputError("start, t and offsets must be integers, got "
                              f"start={start!r}, t={t!r}, eps={eps!r}")
         if not 0 <= start < ctx.n:
-            raise InputError(f"start must be in 0..{ctx.n - 1}, got {start}")
+            raise InputError(
+                f"start must be in 0..{clipped(ctx.n - 1)}, got {clipped(start)}")
         if not 2 <= t <= m:
-            raise InputError(f"spine length t must be in 2..{m}, got {t}")
+            raise InputError(
+                f"spine length t must be in 2..{clipped(m)}, got {clipped(t)}")
         if len(eps) != m - t:
-            raise InputError(f"expected {m - t} offsets for t={t}, got {len(eps)}")
+            raise InputError(f"expected {clipped(m - t)} offsets for t={clipped(t)}, "
+                             f"got {len(eps)}")
         if eps:
             if eps[0] < 1 or eps[-1] > m - 2:
-                raise InputError(f"offsets must lie in 1..{m - 2}, got {eps}")
+                raise InputError(
+                    f"offsets must lie in 1..{clipped(m - 2)}, got {clipped(eps)}")
             if not all(map(operator.lt, eps, eps[1:])):
-                raise InputError(f"offsets must increase strictly, got {eps}")
+                raise InputError(f"offsets must increase strictly, got {clipped(eps)}")
         return self
 
 
@@ -180,19 +179,11 @@ def generate_blocker(ctx: PolygonContext, spec: BlockerSpec) -> frozenset[Edge]:
 
 
 def _start_specs(ctx: PolygonContext, start: int):
-    """The 2^(m-2) specs with one start: spine lengths ascending, offset
-    tuples in lexicographic order."""
+    """The 2^(m-2) specs with one start, in `enumerate_blockers` order:
+    spine lengths ascending, offset tuples in lexicographic order."""
     m = ctx.m
     return (BlockerSpec(start, t, eps) for t in range(2, m + 1)
             for eps in itertools.combinations(range(1, m - 1), m - t))
-
-
-def enumerate_blocker_specs(ctx: PolygonContext) -> list[BlockerSpec]:
-    """Every canonical spec once: starts ascending, spine lengths ascending,
-    offset tuples in lexicographic order.  Refuses m past `DEFAULT_MAX_M`."""
-    check_min(ctx.m, 2)
-    check_cap(ctx.m, DEFAULT_MAX_M, "enumeration")
-    return [spec for start in range(ctx.n) for spec in _start_specs(ctx, start)]
 
 
 def _blockers_by_start(ctx: PolygonContext):
@@ -213,10 +204,11 @@ def _blockers_by_start(ctx: PolygonContext):
 
 
 def enumerate_blockers(ctx: PolygonContext) -> list[frozenset[Edge]]:
-    """All m * 2^(m-1) blockers, each once, in `enumerate_blocker_specs`
-    order: start 0's from `generate_blocker`, the per-spec reference, and
-    starts 1..2m-1 as start 0's turned one vertex at a time, exact because a
-    spec's start only adds s mod 2m to every label.  Refuses m past
+    """All m * 2^(m-1) blockers, each once, ordered by spec: starts
+    ascending, then spine lengths, then offsets in lexicographic order.
+    Start 0's come from `generate_blocker`, the per-spec reference, and
+    starts 1..2m-1 are start 0's turned one vertex at a time, exact because
+    a spec's start only adds s mod 2m to every label.  Refuses m past
     `DEFAULT_MAX_M`."""
     return list(itertools.chain.from_iterable(_blockers_by_start(ctx)))
 
@@ -369,7 +361,7 @@ def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolati
     check_min(ctx.m, 2)
     edges = frozenset(edges)
     if len(edges) != ctx.m:
-        raise InputError(f"expected exactly {ctx.m} edges, got {len(edges)}")
+        raise InputError(f"expected exactly {clipped(ctx.m)} edges, got {len(edges)}")
     violations, _path, spine = _scan(ctx, edges)
     if violations:
         return violations[0]
@@ -456,41 +448,6 @@ def restrict_blocker(ctx: PolygonContext, edges, e: Edge, f: Edge
 
     sub = PolygonContext(ctx.m - 1)
     return sub, frozenset(Edge(relabel(g.a), relabel(g.b)) for g in kept)
-
-
-class BoundaryCase(enum.Enum):
-    """The three structural options for a set of boundary edges."""
-
-    OPPOSITE_PAIR = "OppositePair"
-    HALF_BOUNDARY = "HalfBoundary"
-    TRIANGULAR_TRIPLE = "TriangularTriple"
-
-
-def classify_boundary_set(ctx: PolygonContext, boundary_edges) -> set[BoundaryCase]:
-    """Every case that holds for a nonempty set of boundary edges:
-
-    * OPPOSITE_PAIR: two edges exactly m positions apart;
-    * HALF_BOUNDARY: the set fits among m consecutive boundary edges;
-    * TRIANGULAR_TRIPLE: three edges whose consecutive cyclic distances
-      are all below m.
-
-    At least one case always applies.
-    """
-    edges = sorted(set(boundary_edges))
-    if not edges:
-        raise InputError("boundary edge set must be nonempty")
-    pos = sorted(boundary_position(ctx, e) for e in edges)
-    m, k = ctx.m, len(pos)
-    cases: set[BoundaryCase] = set()
-    if any(pos[v] == pos[u] + m for u in range(k) for v in range(u + 1, k)):
-        cases.add(BoundaryCase.OPPOSITE_PAIR)
-    if pos[-1] < pos[0] + m or any(pos[u + 1] - pos[u] > m for u in range(k - 1)):
-        cases.add(BoundaryCase.HALF_BOUNDARY)
-    for u, v, w in itertools.combinations(range(k), 3):
-        if pos[v] < pos[u] + m and pos[w] < pos[v] + m and pos[u] + m < pos[w]:
-            cases.add(BoundaryCase.TRIANGULAR_TRIPLE)
-            break
-    return cases
 
 
 def blocker_to_json(ctx: PolygonContext, spec: BlockerSpec) -> dict:

@@ -14,10 +14,17 @@ def quoted(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
 
 
+def clipped(value) -> str:
+    """A refusal's bare echo of a number, or of text: `str(value)`, or its
+    first 40 characters and `...`."""
+    text = str(value)
+    return text if len(text) <= 40 else f"{text[:40]}..."
+
+
 def check_cap(m: int, cap: int, what: str) -> None:
     """Refuse m beyond `cap`, before any work, in the one cap message."""
     if m > cap:
-        raise ResourceLimitError(f"m={m} exceeds the {what} cap {cap}")
+        raise ResourceLimitError(f"m={clipped(m)} exceeds the {what} cap {cap}")
 
 
 def check_ints(**named) -> None:
@@ -32,7 +39,7 @@ def check_min(m: int, least: int) -> None:
     message."""
     check_ints(m=m)
     if m < least:
-        raise InputError(f"m must be >= {least}, got {m}")
+        raise InputError(f"m must be >= {least}, got {clipped(m)}")
 
 
 class InfeasibilityError(ValueError):

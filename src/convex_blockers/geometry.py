@@ -31,7 +31,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 
-from .errors import InputError, check_ints, check_min, quoted
+from .errors import InputError, check_ints, check_min, clipped, quoted
 
 __all__ = [
     "Edge",
@@ -71,9 +71,6 @@ class Edge(namedtuple("_EdgePair", "a b")):
     @classmethod
     def _make(cls, iterable) -> "Edge":  # `_replace` too: no unchecked edges
         return cls(*iterable)
-
-    def touches(self, vertex: int) -> bool:
-        return vertex in self
 
     def shares_vertex(self, other: "Edge") -> bool:
         return self.a in other or self.b in other
@@ -170,7 +167,8 @@ class PolygonContext:
             raise InputError(f"expected an Edge, got {e!r}")
         if e.b >= self.n:
             raise InputError(
-                f"vertex {e.b} out of range for a polygon on {self.n} vertices")
+                f"vertex {clipped(e.b)} out of range for a polygon on "
+                f"{clipped(self.n)} vertices")
         return e
 
     def edges(self) -> Iterator[Edge]:
@@ -305,7 +303,7 @@ def edges_from_text(text: str) -> frozenset[Edge]:
     for p in items:
         e = edge_from_text(p)
         if e in edges:
-            raise InputError(f"repeated edge {p.strip()}")
+            raise InputError(f"repeated edge {clipped(p.strip())}")
         edges.add(e)
     return frozenset(edges)
 

@@ -19,7 +19,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .errors import InfeasibilityError, InputError, check_cap, check_ints
+from .errors import InfeasibilityError, InputError, check_cap, check_ints, clipped
 from .geometry import Edge, PolygonContext, edges_cross, parallel_class
 
 __all__ = [
@@ -172,7 +172,7 @@ def parallel_spm(ctx: PolygonContext, l: int) -> Matching:
     every edge whose endpoint sum is 2l-1 mod 2m."""
     check_ints(l=l)
     if not 1 <= l <= ctx.m:
-        raise InputError(f"l must be in 1..{ctx.m}, got {l}")
+        raise InputError(f"l must be in 1..{clipped(ctx.m)}, got {clipped(l)}")
     return frozenset(parallel_class(ctx, (2 * l - 1) % ctx.n))
 
 
@@ -194,15 +194,16 @@ class TriangularSpec(namedtuple("_TriangularSpec", "i1 i2 i3 p q r a b c")):
         check_ints(i1=i1, i2=i2, i3=i3)
         if not 1 <= i1 < i2 < i3 <= ctx.n:
             raise InputError(
-                f"positions must satisfy 1 <= i1 < i2 < i3 <= {ctx.n}, "
-                f"got ({i1}, {i2}, {i3})")
+                f"positions must satisfy 1 <= i1 < i2 < i3 <= {clipped(ctx.n)}, "
+                f"got {clipped((i1, i2, i3))}")
         p = i2 - i1
         q = i3 - i2
         r = i1 + ctx.n - i3
         if p >= ctx.m or q >= ctx.m or r >= ctx.m:
             raise InfeasibilityError(
                 "no triangular matching exists: consecutive distances "
-                f"(p={p}, q={q}, r={r}) must all be below m={ctx.m}")
+                f"(p={clipped(p)}, q={clipped(q)}, r={clipped(r)}) must all be below "
+                f"m={clipped(ctx.m)}")
         return cls(i1, i2, i3, p, q, r, ctx.m - q, ctx.m - r, ctx.m - p)
 
 

@@ -14,7 +14,9 @@ maps matchings to matchings, so a set blocks exactly when its turn does.
 When the collections differ, every generated set is evaluated.
 
 The generation is `enumerate_blockers`, which turns start 0's sets through
-the other starts (see the `blockers` module).
+the other starts (see the `blockers` module).  The paper's special blockers,
+the half-boundaries and the odd stars, are among the generated sets, so
+set equality and the blocking checks cover them with no check of their own.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from collections import namedtuple
 from contextlib import contextmanager
 
 from .blockers import enumerate_blockers, count_blockers, validate_caterpillar
-from .errors import InputError, check_cap, check_ints, check_min
-from .geometry import PolygonContext, edges_to_lists, is_boundary_edge
+from .errors import InputError, check_cap, check_ints, clipped
+from .geometry import PolygonContext, edges_to_lists
 from .matchings import DEFAULT_MAX_M, catalan_number
 from .oracle import (
     MODE_CLASS_PRUNED,
@@ -36,7 +38,7 @@ from .oracle import (
     is_blocking_set,
 )
 
-__all__ = ["VerificationReport", "verify_theorem", "verify_special_blockers"]
+__all__ = ["VerificationReport", "verify_theorem"]
 
 MAX_WITNESSES = 10
 
@@ -114,7 +116,8 @@ def verify_theorem(m_min: int, m_max: int, naive_up_to: int = 0) -> list[Verific
         check_ints(m=m)
     check_ints(naive_up_to=naive_up_to)
     if not 2 <= m_min <= m_max:
-        raise InputError(f"need 2 <= m_min <= m_max, got {m_min}..{m_max}")
+        raise InputError(
+            f"need 2 <= m_min <= m_max, got {clipped(m_min)}..{clipped(m_max)}")
     for m in range(m_min, m_max + 1):
         check_cap(m, DEFAULT_MAX_M, "enumeration")
         check_search_cap(m, MODE_CLASS_PRUNED)
@@ -174,18 +177,3 @@ def _verify_single(m: int, *, naive: bool) -> VerificationReport:
         generated_only=tuple(generated_only[:MAX_WITNESSES]),
     )
 
-
-def verify_special_blockers(m: int) -> bool:
-    """Half-boundaries and odd stars at every rotation block everything,
-    and every search-found minimum blocker keeps >= 2 boundary edges."""
-    check_min(m, 2)
-    check_search_cap(m, MODE_CLASS_PRUNED)
-    ctx = PolygonContext(m)
-    index = build_family_index(ctx)
-    halves = [{ctx.boundary_edge(s + i) for i in range(m)} for s in range(ctx.n)]
-    odd_stars = [{ctx.edge(v, v + k) for k in range(1, ctx.n, 2)} for v in range(ctx.n)]
-    if not all(is_blocking_set(index, s) for s in halves + odd_stars):
-        return False
-    result = find_minimum_blockers(index, MODE_CLASS_PRUNED)
-    return all(sum(1 for e in s if is_boundary_edge(ctx, e)) >= 2
-               for s in result.minimum_sets)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import edges
+from conftest import BoundaryCase, classify_boundary_set, edges
 from convex_blockers.blockers import (
     VIOLATION_BAD_ATTACHMENT,
     VIOLATION_CROSSING,
@@ -19,9 +19,7 @@ from convex_blockers.blockers import (
     VIOLATION_LEG_GAP,
     VIOLATION_NOT_CONSECUTIVE,
     BlockerSpec,
-    BoundaryCase,
     StructuralViolation,
-    classify_boundary_set,
     enumerate_blockers,
     generate_blocker,
     parse_blocker,

@@ -10,7 +10,6 @@ from convex_blockers.blockers import (
     BlockerSpec,
     count_blockers,
     count_blockers_by_spine,
-    enumerate_blocker_specs,
     enumerate_blockers,
     parse_blocker,
     restrict_blocker,
@@ -31,7 +30,7 @@ from convex_blockers.oracle import (
     build_family_index,
     find_minimum_blockers,
 )
-from convex_blockers.verify import verify_special_blockers, verify_theorem
+from convex_blockers.verify import verify_theorem
 
 
 def no_index(*args, **kwargs):
@@ -67,8 +66,6 @@ def cli_refusal(capsys, *argv) -> str:
      lambda capsys: cli_refusal(capsys, "blocker", "enumerate", "--m", "13",
                                 "--format", "json")),
     (13, "enumeration", 12,
-     lambda capsys: refusal(lambda: enumerate_blocker_specs(PolygonContext(13)))),
-    (13, "enumeration", 12,
      lambda capsys: refusal(lambda: enumerate_blockers(PolygonContext(13)))),
     (6, "naive search", 5,
      lambda capsys: refusal(lambda: find_minimum_blockers(
@@ -93,7 +90,7 @@ def cli_refusal(capsys, *argv) -> str:
                                 "--by-spine")),
 ], ids=["spm_pairs", "spm-enumerate", "spm-enumerate-json", "blocker-enumerate",
         "blocker-enumerate-json",
-        "enumerate_blocker_specs", "enumerate_blockers",
+        "enumerate_blockers",
         "naive-find_minimum_blockers", "naive-verify", "naive-oracle",
         "pruned-find_minimum_blockers", "pruned-verify", "pruned-oracle", "blocker-count",
         "blocker-count-by-spine"])
@@ -143,12 +140,6 @@ def test_verify_applies_the_enumeration_cap_up_front(monkeypatch):
         verify_theorem(13, 13)
 
 
-def test_special_blockers_refuse_the_pruned_cap_before_the_index(monkeypatch):
-    monkeypatch.setattr(verify, "build_family_index", no_index)
-    with pytest.raises(ResourceLimitError, match="m=12 exceeds the pruned search cap 11"):
-        verify_special_blockers(12)
-
-
 LOWER_BOUND_REFUSALS = [
     (["spm", "enumerate", "--m", "0"], "m must be >= 1, got 0"),
     (["spm", "parallel", "--m", "0", "--l", "0"], "m must be >= 1, got 0"),
@@ -185,16 +176,13 @@ def test_every_lower_bound_refusal(capsys, tmp_path, argv, message):
 @pytest.mark.parametrize("m, least, call", [
     (0, 1, lambda: PolygonContext(0)),
     (1, 2, lambda: BlockerSpec(0, 2).validate(PolygonContext(1))),
-    (1, 2, lambda: enumerate_blocker_specs(PolygonContext(1))),
     (1, 2, lambda: parse_blocker(PolygonContext(1), [Edge(0, 1)])),
     (1, 2, lambda: count_blockers(1)),
     (1, 2, lambda: count_blockers_by_spine(1, 2)),
     (1, 2, lambda: restrict_blocker(PolygonContext(1), [Edge(0, 1)],
                                     Edge(0, 1), Edge(0, 1))),
-    (1, 2, lambda: verify_special_blockers(1)),
-], ids=["PolygonContext", "BlockerSpec.validate", "enumerate_blocker_specs",
-        "parse_blocker", "count_blockers", "count_blockers_by_spine",
-        "restrict_blocker", "verify_special_blockers"])
+], ids=["PolygonContext", "BlockerSpec.validate", "parse_blocker", "count_blockers",
+        "count_blockers_by_spine", "restrict_blocker"])
 def test_every_library_lower_bound_has_the_one_message(m, least, call):
     with pytest.raises(InputError) as info:
         call()
@@ -205,12 +193,11 @@ def test_every_library_lower_bound_has_the_one_message(m, least, call):
     (2.5, lambda: count_blockers(2.5)),
     (True, lambda: count_blockers(True)),
     (2.5, lambda: count_blockers_by_spine(2.5, 2)),
-    (2.5, lambda: verify_special_blockers(2.5)),
     (2.5, lambda: verify_theorem(2.5, 3)),
     (3.0, lambda: verify_theorem(2, 3.0)),
     (True, lambda: verify_theorem(True, 3)),
 ], ids=["count_blockers", "count_blockers-bool",
-        "count_blockers_by_spine", "verify_special_blockers",
+        "count_blockers_by_spine",
         "verify_theorem-m_min", "verify_theorem-m_max", "verify_theorem-bool"])
 def test_every_library_integer_check_has_the_one_message(monkeypatch, m, call):
     # Refused by `errors.check_ints` before any range test, cap or index, in

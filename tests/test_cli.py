@@ -13,12 +13,11 @@ from pathlib import Path
 import pytest
 
 import convex_blockers
-from conftest import edges
+from conftest import blocker_specs, edges
 from convex_blockers import cli
 from convex_blockers.blockers import (
     BlockerSpec,
     blocker_to_json,
-    enumerate_blocker_specs,
     enumerate_blockers,
     generate_blocker,
 )
@@ -400,7 +399,7 @@ def test_blocker_enumerate_equals_the_per_spec_rendering(capsys, m, fmt):
     # The command turns start 0's blockers through the other starts; the
     # reference renders every spec through `generate_blocker` on its own.
     ctx = PolygonContext(m)
-    specs = enumerate_blocker_specs(ctx)
+    specs = blocker_specs(ctx)
     if fmt == "json":
         expected = json.dumps([blocker_to_json(ctx, spec) for spec in specs],
                               separators=(",", ":")) + "\n"
@@ -725,6 +724,60 @@ def test_render_blocker_spec_keeps_a_leading_minus(tmp_path, capsys):
 def test_an_int_list_refusal_echoes_only_the_start_of_a_long_text(tmp_path, capsys,
                                                                   argv, message):
     # Past `int`'s digit limit; the echo is the text's first 40 characters.
+    target = tmp_path / "x.svg"
+    if argv[0] == "render":
+        argv = [*argv, "--out", str(target)]
+    status, out, err = run(capsys, *argv)
+    assert (status, out, err) == (1, "", f"error: {message}\n")
+    assert len(err) < 200
+    assert not target.exists()
+
+
+# A 4000-digit integer, within `int`'s digit limit; each refusal below echoed
+# it whole, in an error line of over 4,000 characters.
+BIG = "1" * 4000
+BIG_ECHO = "1" * 40 + "..."
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["blocker", "check", "--m", "2", "--edges", f"0-{BIG},0-{BIG}"],
+     f"repeated edge 0-{'1' * 38}..."),
+    (["blocker", "check", "--m", "2", "--edges", f"0-1,0-{BIG}"],
+     f"vertex {BIG_ECHO} out of range for a polygon on 4 vertices"),
+    (["render", "--m", "3", "--edges", "0-1", "--thick-edges", f"0-1,0-{BIG}"],
+     f"vertex {BIG_ECHO} out of range for a polygon on 6 vertices"),
+    (["spm", "parallel", "--m", "3", "--l", BIG], f"l must be in 1..3, got {BIG_ECHO}"),
+    (["spm", "triangular", "--m", "3", "--edges", f"1,2,{BIG}"],
+     f"positions must satisfy 1 <= i1 < i2 < i3 <= 6, got (1, 2, {'1' * 33}..."),
+    (["blocker", "count", "--m", BIG], f"m={BIG_ECHO} exceeds the count cap 14271"),
+    (["spm", "enumerate", "--m", BIG], f"m={BIG_ECHO} exceeds the enumeration cap 12"),
+    (["render", "--m", "3", "--blocker-spec", f"0,2,{BIG}"],
+     f"offsets must lie in 1..1, got ({'1' * 39}..."),
+    (["spm", "enumerate", "--m", f"-{BIG}"], f"m must be >= 1, got -{'1' * 39}..."),
+    (["blocker", "check", "--m", BIG, "--edges", "0-1"],
+     f"expected exactly {BIG_ECHO} edges, got 1"),
+    (["render", "--m", "3", "--blocker-spec", f"{BIG},2"],
+     f"start must be in 0..5, got {BIG_ECHO}"),
+    (["render", "--m", "3", "--blocker-spec", f"0,{BIG}"],
+     f"spine length t must be in 2..3, got {BIG_ECHO}"),
+    (["verify", "--m-min", BIG, "--m-max", "3"],
+     f"need 2 <= m_min <= m_max, got {BIG_ECHO}..3"),
+    # A long m is cut where the range it bounds is echoed, too.
+    (["spm", "parallel", "--m", BIG, "--l", "0"], f"l must be in 1..{BIG_ECHO}, got 0"),
+    (["spm", "triangular", "--m", BIG, "--edges", f"1,2,{2 * int(BIG)}"],
+     "no triangular matching exists: consecutive distances "
+     f"(p=1, q={'2' * 40}..., r=1) must all be below m={BIG_ECHO}"),
+    (["render", "--m", BIG, "--blocker-spec", "0,1"],
+     f"spine length t must be in 2..{BIG_ECHO}, got 1"),
+], ids=["repeated-edge", "check_edge", "render-thick-edges", "spm-parallel",
+        "spm-triangular", "blocker-count", "spm-enumerate", "render-blocker-spec",
+        "lower-bound", "blocker-check-size", "blocker-spec-start",
+        "blocker-spec-t", "verify-range", "spm-parallel-long-m",
+        "spm-triangular-long-m", "blocker-spec-long-m"])
+def test_a_refusal_echoes_only_the_start_of_a_long_number(tmp_path, capsys,
+                                                          argv, message):
+    # Each number is cut by `errors.clipped` to its first 40 characters;
+    # the rest of the message reads as for a short one.
     target = tmp_path / "x.svg"
     if argv[0] == "render":
         argv = [*argv, "--out", str(target)]

@@ -12,17 +12,16 @@ import pytest
 import convex_blockers
 
 PUBLIC_NAMES = [
-    "BlockerSpec", "BoundaryCase", "CaterpillarReport", "Edge", "InfeasibilityError",
-    "InputError", "OracleResult", "PolygonContext", "RenderSpec", "ResourceLimitError",
+    "BlockerSpec", "CaterpillarReport", "Edge", "InfeasibilityError", "InputError",
+    "OracleResult", "PolygonContext", "RenderSpec", "ResourceLimitError",
     "SpmFamilyIndex", "StructuralViolation", "StructureError", "TriangularSpec",
     "VerificationReport", "are_parallel", "build_family_index", "catalan_number",
-    "classify_boundary_set", "count_blockers", "count_blockers_by_spine", "edge_class",
-    "edge_order", "edges_cross", "enumerate_blocker_specs", "enumerate_blockers",
-    "enumerate_spms", "find_minimum_blockers", "first_avoiding_spm", "generate_blocker",
-    "is_blocking_set", "is_spm", "missed_spms", "parallel_class", "parallel_spm",
-    "parse_blocker", "render_figure", "restrict_blocker", "spm_pairs", "triangular_spm",
-    "triangular_spm_from_blocks", "validate_caterpillar", "verify_special_blockers",
-    "verify_theorem",
+    "count_blockers", "count_blockers_by_spine", "edge_class", "edge_order",
+    "edges_cross", "enumerate_blockers", "enumerate_spms", "find_minimum_blockers",
+    "first_avoiding_spm", "generate_blocker", "is_blocking_set", "is_spm",
+    "missed_spms", "parallel_class", "parallel_spm", "parse_blocker", "render_figure",
+    "restrict_blocker", "spm_pairs", "triangular_spm", "triangular_spm_from_blocks",
+    "validate_caterpillar", "verify_theorem",
 ]
 
 

@@ -10,7 +10,9 @@ CLI start; the value types are namedtuples like `Edge`.  A fresh CLI start
 imports only what its command uses: no `typing`, `pathlib` or `json`, and
 none of `oracle`, `render` and `verify` for `blocker check`.
 The naive search in `oracle.py` names no parallel-class fact and not the
-pruned search, so it stays a witness from the blocking definition alone.
+pruned search, so it stays a witness from the blocking definition alone,
+and no function in `oracle.py` names the blocker generator or
+`BlockerSpec`, so neither search can read what it cross-checks.
 In the same way the tree test and the structural scan in `blockers.py`
 name neither other, the scan and `validate_caterpillar` name no part of the
 blocker generator and none of the context's edge tables (the report holds
@@ -35,12 +37,15 @@ import convex_blockers
 
 SOURCES = sorted(Path(convex_blockers.__file__).parent.glob("*.py"))
 LOWER_BOUND_TEXT = re.compile(r"\bm (must be )?>= ")
-GENERATOR = ("generate_blocker", "enumerate_blockers", "enumerate_blocker_specs")
+GENERATOR = ("generate_blocker", "enumerate_blockers", "_start_specs", "_blockers_by_start")
 TABLES = ("edge_of", "edge_table", "edge_rank")
 SCAN_MEMO = "_scan_memo"
 # (module, top-level function, names it may not use, rule): each witness
-# stays independent of the code it cross-checks.
+# stays independent of the code it cross-checks.  `EVERY_FUNCTION` stands
+# for each function of the module.
+EVERY_FUNCTION = "*"
 WITNESS_RULES = [
+    ("oracle.py", EVERY_FUNCTION, (*GENERATOR, "BlockerSpec"), "generator in the oracle"),
     ("oracle.py", "_search_naive",
      ("parallel_class", "edge_class", "are_parallel", "_search_class_pruned"),
      "parallel-class fact in the naive search"),
@@ -150,7 +155,8 @@ def _witness_rule(node: ast.AST, module: str, top: str | None) -> str | None:
     else:
         return None
     return next((rule for rule_module, function, names, rule in WITNESS_RULES
-                 if (module, top) == (rule_module, function) and name in names),
+                 if module == rule_module and name in names
+                 and (top == function or top is not None and function == EVERY_FUNCTION)),
                 None)
 
 
@@ -295,7 +301,27 @@ def test_naive_search_names_no_class_fact(source, expected):
         "catalan-names-enumerator", "catalan-closed-form", "table-names-enumerator"])
 def test_witnesses_name_nothing_they_check(module, source, expected):
     assert findings(source, module) == expected
-    assert findings(source, "oracle.py") == []
+    assert findings(source, "render.py") == []
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def find_minimum_blockers(index, mode):\n"
+     "    return enumerate_blockers(index.ctx)\n", ["2: generator in the oracle"]),
+    (_naive_body("_search_class_pruned", "blockers._start_specs(ctx, 0)"),
+     ["3: generator in the oracle"]),
+    (_naive_body("build_family_index", "next(_blockers_by_start(ctx))"),
+     ["3: generator in the oracle"]),
+    ("def _search_naive(index):\n    return generate_blocker(ctx, spec)\n",
+     ["2: generator in the oracle"]),
+    ("def oracle_report_json(index, result):\n    return BlockerSpec(0, 2)\n",
+     ["2: generator in the oracle"]),
+    ("def is_blocking_set(index, edges):\n    return not _unhit(index, edges)\n", []),
+], ids=["search-enumerates", "pruned-reads-specs", "index-reads-family",
+        "naive-generates", "report-builds-spec", "definition-only"])
+def test_oracle_names_no_generator(source, expected):
+    assert findings(source, "oracle.py") == expected
+    # `verify` compares the two, so it may name both.
+    assert findings(source, "verify.py") == []
 
 
 def test_the_scan_memo_rule_guards_a_real_slot():

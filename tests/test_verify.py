@@ -15,8 +15,8 @@ from convex_blockers.blockers import (
 from convex_blockers.errors import InputError, ResourceLimitError
 from convex_blockers.geometry import PolygonContext, edge_class, is_boundary_edge, parallel_class
 from convex_blockers.matchings import first_avoiding_spm
-from convex_blockers.oracle import build_family_index, is_blocking_set
-from convex_blockers.verify import MAX_WITNESSES, verify_special_blockers, verify_theorem
+from convex_blockers.oracle import build_family_index, find_minimum_blockers, is_blocking_set
+from convex_blockers.verify import MAX_WITNESSES, verify_theorem
 
 
 def test_verify_small_range_with_naive():
@@ -129,14 +129,22 @@ def test_report_json_has_phase_durations():
     assert all(ms >= 0 for ms in durations.values())
 
 
-@pytest.mark.parametrize("m", [2, 3, 6])
+@pytest.mark.parametrize("m", range(2, 10))
 def test_special_blockers(m):
-    assert verify_special_blockers(m)
-
-
-def test_special_blockers_rejects_m1():
-    with pytest.raises(InputError):
-        verify_special_blockers(1)
+    # The half-boundaries and the odd stars, at every start, are generated
+    # blockers and meet every matching; every set the search finds keeps at
+    # least 2 boundary edges.
+    ctx = PolygonContext(m)
+    generated = set(enumerate_blockers(ctx))
+    for s in range(ctx.n):
+        half_boundary = frozenset(ctx.boundary_edge(s + i) for i in range(m))
+        odd_star = frozenset(ctx.edge(s, s + k) for k in range(1, ctx.n, 2))
+        for special in (half_boundary, odd_star):
+            assert special in generated
+            assert first_avoiding_spm(ctx, special) is None
+    found = find_minimum_blockers(build_family_index(ctx)).minimum_sets
+    assert len(found) == m << (m - 1)
+    assert all(sum(is_boundary_edge(ctx, e) for e in s) >= 2 for s in found)
 
 
 @pytest.mark.parametrize("m, blockers", [(20, 30), (60, 15), (150, 6)])
