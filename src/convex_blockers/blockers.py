@@ -31,6 +31,12 @@ The run rule: the boundary path is the longest cyclic run of boundary
 edges, ties to the smallest start position, the full cycle included.  The
 boundary edges are consecutive when that run holds every one of them, and
 only then, with at least two, is the run a spine and are the legs checked.
+
+The crossing rule: along a spine, boundary edges cross nothing, and legs
+attached at p < q cross exactly when far_p < far_q, which makes
+p + far_p <= q + far_q, a leg gap.  So the scan searches for crossing pairs
+only when the set has no spine or a leg check (attachment or gap) has
+failed; a set that passes both has none.
 """
 
 from __future__ import annotations
@@ -250,11 +256,16 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
 
     Check order: one edge per odd parallel class, boundary count >= 2,
     boundary consecutiveness, crossing-freeness, leg attachment locations,
-    leg distance gaps.  Returns (violations, boundary_path, spine): the
-    violations and the input's own edges along the longest boundary run
-    (ties go to the smallest start position), both tuples, and spine (start,
-    t, legs) once that run of length t >= 2 holds every boundary edge, else
-    None; legs are (attach, far, edge) triples in start-relative labels.
+    leg distance gaps.  By the crossing rule (see the module docstring) the
+    crossing search runs only when there is no spine or a leg check has
+    failed, and the gap pairs are listed only when one sweep of the sorted
+    legs finds a gap.
+
+    Returns (violations, boundary_path, spine): the violations and the
+    input's own edges along the longest boundary run (ties go to the
+    smallest start position), both tuples, and spine (start, t, legs) once
+    that run of length t >= 2 holds every boundary edge, else None; legs
+    are (attach, far, edge) triples in start-relative labels.
     A longest run that holds fewer, t below the boundary count, is the
     boundary_not_consecutive violation.  Every part is immutable, because
     the same `ctx` and `edges` objects again get the cached result; a call
@@ -310,20 +321,8 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
             VIOLATION_NOT_CONSECUTIVE, tuple(boundary.values())))
     path = tuple(boundary[p % n] for p in range(start, start + t))
 
-    size = len(edge_list)
-    for i, e in enumerate(edge_list):
-        a, b = e
-        j = i + 1
-        while j < size:
-            f = edge_list[j]
-            c, d = f
-            if c >= b:  # sorted by first vertex: no later edge crosses e
-                break
-            if a < c and b < d:
-                violations.append(StructuralViolation(VIOLATION_CROSSING, (e, f)))
-            j += 1
-
     spine = None
+    leg_violations: list[StructuralViolation] = []  # reported after crossings
     if t == len(boundary) and t >= 2:
         legs = []
         for e in interior:
@@ -333,17 +332,41 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
             if 1 <= attach <= t - 1 and t + 1 <= far:
                 legs.append((attach, far, e))
             else:
-                violations.append(
+                leg_violations.append(
                     StructuralViolation(VIOLATION_BAD_ATTACHMENT, (e,)))
         legs.sort()
-        for (p, pf, e1), (q, qf, e2) in itertools.combinations(legs, 2):
-            # Attachment points farther apart than far endpoints (or tied),
-            # pf - qf <= q - p, would admit a matching of parallels
-            # slipping between the legs.
-            if p < q and p + pf <= q + qf:
-                violations.append(StructuralViolation(
-                    VIOLATION_LEG_GAP, tuple(sorted((e1, e2)))))
+        # A gap, p < q with p + pf <= q + qf, would admit a matching of
+        # parallels slipping between the legs.  In (attach, far) order one
+        # exists exactly when a leg's sum reaches `least`, the smallest sum of
+        # the legs attached strictly earlier; only then are pairs listed.
+        least = earlier = 2 * n  # every sum is below 2n
+        group = None
+        for p, pf, _e in legs:
+            if p != group:  # a group's first leg has its smallest sum
+                group, least = p, earlier
+                earlier = min(earlier, p + pf)
+            if p + pf >= least:
+                leg_violations += [
+                    StructuralViolation(VIOLATION_LEG_GAP, tuple(sorted((e1, e2))))
+                    for (p, pf, e1), (q, qf, e2) in itertools.combinations(legs, 2)
+                    if p < q and p + pf <= q + qf]
+                break
         spine = (start, t, tuple(legs))
+
+    if spine is None or leg_violations:  # else nothing crosses: the crossing rule
+        size = len(edge_list)
+        for i, e in enumerate(edge_list):
+            a, b = e
+            j = i + 1
+            while j < size:
+                f = edge_list[j]
+                c, d = f
+                if c >= b:  # sorted by first vertex: no later edge crosses e
+                    break
+                if a < c and b < d:
+                    violations.append(StructuralViolation(VIOLATION_CROSSING, (e, f)))
+                j += 1
+    violations += leg_violations
     result = (tuple(violations), path, spine)
     _scan_memo = (ctx, edges, result)
     return result
@@ -366,13 +389,16 @@ def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolati
     if violations:
         return violations[0]
     start, t, legs = spine
-    # attach + far == 2(t+j) - 1 pins down the class slot j; the offset is
-    # then half the width of the leg minus the boundary step.
-    slots = sorted(((attach + far + 1) // 2 - t, (far - attach - 1) // 2)
-                   for attach, far, _e in legs)
-    if [j for j, _offset in slots] != list(range(1, ctx.m - t + 1)):
-        raise StructureError("leg classes do not fill the expected slots")
-    spec = BlockerSpec(start, t, tuple(offset for _j, offset in slots))
+    # attach + far == 2(t+j) + 1 pins down the class slot j = 0..m-t-1; the
+    # offset is then half the width of the leg minus the boundary step.
+    # The m - t legs fill the m - t slots when none is out of range or twice.
+    eps = [None] * (ctx.m - t)
+    for attach, far, _e in legs:
+        j = (attach + far - 1) // 2 - t
+        if not 0 <= j < len(eps) or eps[j] is not None:
+            raise StructureError("leg classes do not fill the expected slots")
+        eps[j] = (far - attach - 1) // 2
+    spec = BlockerSpec(start, t, eps)
     if generate_blocker(ctx, spec) != edges:
         raise StructureError(
             f"parsed parameters {spec} do not regenerate the edge set")

@@ -61,11 +61,11 @@ class Edge(namedtuple("_EdgePair", "a b")):
 
     def __new__(cls, a: int, b: int) -> "Edge":
         if not (type(a) is int and type(b) is int):
-            raise InputError(f"non-integer vertex in [{a},{b}]")
+            raise InputError(f"non-integer vertex in [{clipped(a)},{clipped(b)}]")
         if a == b:
-            raise InputError(f"degenerate edge [{a},{b}]")
+            raise InputError(f"degenerate edge [{clipped(a)},{clipped(b)}]")
         if a < 0 or b < 0:
-            raise InputError(f"negative vertex in [{a},{b}]")
+            raise InputError(f"negative vertex in [{clipped(a)},{clipped(b)}]")
         return tuple.__new__(cls, (a, b) if a < b else (b, a))
 
     @classmethod
@@ -289,9 +289,11 @@ def edge_from_text(text: str) -> Edge:
     a, b = (part.strip() for part in parts)
     if a.isascii() and a.isdigit() and b.isascii() and b.isdigit():
         try:
-            return Edge(int(a), int(b))
+            a, b = int(a), int(b)
         except ValueError:  # more digits than `sys.get_int_max_str_digits()`
             pass
+        else:
+            return Edge(a, b)  # refuses a degenerate edge as such
     raise InputError(f"bad edge {quoted(text)}; vertices must be integers")
 
 

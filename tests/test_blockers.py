@@ -773,8 +773,10 @@ def _assert_scan_matches_the_slow_twin(ctx, edge_set):
 @pytest.mark.parametrize("m", range(2, 9))
 def test_scan_agrees_with_the_slow_twin_on_blockers_and_swaps(m):
     # Violations with their witnesses, path and spine, on every blocker and
-    # on 200 seeded one-edge swaps, which cross, repeat a class or break
-    # the spine.
+    # on 200 seeded mutants of each kind the benchmark draws: one-edge
+    # swaps, which cross, repeat a class or break the spine; broken spines,
+    # one spine edge moved to another boundary position; and transversals,
+    # one random edge of each odd parallel class.
     ctx = PolygonContext(m)
     family = enumerate_blockers(ctx)
     for blocker in family:
@@ -786,14 +788,121 @@ def test_scan_agrees_with_the_slow_twin_on_blockers_and_swaps(m):
         out = rng.choice(sorted(blocker))
         into = rng.choice([e for e in every_edge if e not in blocker])
         _assert_scan_matches_the_slow_twin(ctx, blocker - {out} | {into})
+    specs = blocker_specs(ctx)
+    odd_classes: dict[int, list[Edge]] = {}
+    for e in every_edge:
+        if edge_class(ctx, e) % 2:
+            odd_classes.setdefault(edge_class(ctx, e), []).append(e)
+    for _ in range(200):
+        start, t, _eps = spec = rng.choice(specs)
+        blocker = generate_blocker(ctx, spec)
+        out = ctx.boundary_edge((start + rng.randrange(t)) % ctx.n)
+        into = rng.choice([e for e in ctx.boundary_edges() if e not in blocker])
+        _assert_scan_matches_the_slow_twin(ctx, blocker - {out} | {into})
+        transversal = frozenset(rng.choice(row) for row in odd_classes.values())
+        _assert_scan_matches_the_slow_twin(ctx, transversal)
 
 
 @given(_edge_sets())
 @example(_boundary_set(3, range(6)))  # the full cycle
 @example((PolygonContext(4), frozenset(PolygonContext(4).edges())))  # every edge
 @example(_boundary_set(4, (7, 0, 3, 4)))  # a tie with the wrapping run
+@example((PolygonContext(5), edges("0-1,1-2,2-3,1-4,2-7")))  # a spine, two legs cross
+# a spine whose badly attached 4-7 crosses the leg 2-5
+@example((PolygonContext(5), edges("0-1,1-2,2-3,2-5,4-7")))
+@example((PolygonContext(4), edges("0-1,2-3,1-4,2-5")))  # split boundary, 1-4 x 2-5
 def test_scan_agrees_with_the_slow_twin_on_any_edge_set(case):
     _assert_scan_matches_the_slow_twin(*case)
+
+
+def _spine_passes_the_leg_checks_without_crossing(ctx, edge_set) -> bool:
+    """Whether `_scan` finds a spine and neither a badly attached edge nor a
+    leg gap, the case in which it skips the crossing search; in that case
+    no pair of the set may cross by `edges_cross`, the definition."""
+    violations, _path, spine = blockers._scan(ctx, edge_set)
+    names = {v.name for v in violations}
+    if spine is None or VIOLATION_BAD_ATTACHMENT in names or VIOLATION_LEG_GAP in names:
+        return False
+    crossing = [(e, f) for e, f in itertools.combinations(sorted(edge_set), 2)
+                if edges_cross(ctx, e, f)]
+    assert crossing == [], sorted(edge_set)
+    return True
+
+
+@st.composite
+def _reshaped_blockers(draw):
+    """A blocker at m = 2..9 with up to two edges dropped and up to three
+    added: sets that mostly keep a spine but not always their legs' shape."""
+    m = draw(st.integers(2, 9))
+    ctx = PolygonContext(m)
+    mask = draw(st.integers(0, (1 << (m - 2)) - 1))
+    eps = tuple(i for i in range(1, m - 1) if mask >> (i - 1) & 1)
+    blocker = generate_blocker(
+        ctx, BlockerSpec(draw(st.integers(0, ctx.n - 1)), m - len(eps), eps))
+    dropped = draw(st.sets(st.sampled_from(sorted(blocker)), max_size=2))
+    added = draw(st.sets(st.sampled_from(list(ctx.edges())), max_size=3))
+    return ctx, (blocker - dropped) | added
+
+
+@given(_reshaped_blockers())
+@example((PolygonContext(5), edges("0-1,1-2,2-3,2-5,2-7")))  # legs share 2
+@example((PolygonContext(5), edges("0-1,1-2,2-3,1-6,2-5")))  # nested legs
+def test_a_spine_that_passes_the_leg_checks_has_no_crossing(case):
+    _spine_passes_the_leg_checks_without_crossing(*case)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_no_blocker_swap_that_passes_the_leg_checks_crosses(m):
+    # Every one-edge swap of every blocker up to m = 5.  At m = 6..8, the
+    # swaps of start 0's blockers: the other starts' swaps are their turns,
+    # and a turn adds the same s mod 2m to every label, which moves neither
+    # a crossing nor the scan's verdict.
+    ctx = PolygonContext(m)
+    family = enumerate_blockers(ctx)
+    if m >= 6:
+        family = family[:len(family) // ctx.n]
+    every_edge = list(ctx.edges())
+    passed = 0
+    for blocker in family:
+        others = [e for e in every_edge if e not in blocker]
+        for out in blocker:
+            rest = blocker - {out}
+            for into in others:
+                passed += _spine_passes_the_leg_checks_without_crossing(ctx, rest | {into})
+    assert passed > 0
+
+
+def test_leg_gap_pairs_are_listed_only_for_a_set_with_a_gap(monkeypatch):
+    # One sweep of the sorted legs decides whether a set has a leg gap, and
+    # the pairs are listed, one `itertools.combinations` call, only then.
+    cases = [(PolygonContext(m), edges(text)) for m, text, _name in MUTANTS]
+    for m in range(2, 8):
+        ctx = PolygonContext(m)
+        family = enumerate_blockers(ctx)
+        cases += [(ctx, blocker) for blocker in family]
+        rng = random.Random(m)
+        every_edge = list(ctx.edges())
+        for _ in range(300):
+            blocker = rng.choice(family)
+            out = rng.choice(sorted(blocker))
+            into = rng.choice([e for e in every_edge if e not in blocker])
+            cases.append((ctx, blocker - {out} | {into}))
+    calls = []
+    combinations = itertools.combinations
+
+    def counting(*args):
+        calls.append(args)
+        return combinations(*args)
+
+    monkeypatch.setattr(itertools, "combinations", counting)
+    gaps = 0
+    for ctx, edge_set in cases:
+        calls.clear()
+        violations = blockers._scan(ctx, frozenset(list(edge_set)))[0]
+        gap = any(v.name == VIOLATION_LEG_GAP for v in violations)
+        assert len(calls) == gap, sorted(edge_set)
+        gaps += gap
+    assert 0 < gaps < len(cases)
 
 
 def _slow_is_tree(edges) -> bool:

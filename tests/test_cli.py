@@ -541,14 +541,26 @@ def test_blocker_check_over_a_fixed_corpus_is_pinned(capsys):
 @pytest.mark.parametrize("text", [
     "0-1,1-\u0662", "0-+1,0_1-2",
     # past `int`'s digit limit: one error line, not a ValueError's traceback
-    pytest.param("0-1,1-" + "1" * 5000, id="0-1,1-5000-digits")])
+    pytest.param("0-1,1-" + "1" * 5000, id="0-1,1-5000-digits"),
+    pytest.param("0-1," + "1" * 5000 + "-" + "1" * 5000, id="0-1,5000-digits-twice")])
 def test_blocker_check_refuses_vertex_text_that_is_not_ascii_digits(capsys, text):
     status, out, err = run(capsys, "blocker", "check", "--m", "2", "--edges", text)
     assert (status, out, err.count("\n")) == (1, "", 1)
     assert err.startswith("error: bad edge ") and err.endswith("; vertices must be integers\n")
     if len(text) > 40:  # the refusal echoes the edge's first 40 characters
-        assert err == "error: bad edge '1-" + "1" * 38 + "'...; vertices must be integers\n"
+        bad = text.split(",")[-1]
+        assert err == f"error: bad edge {bad[:40]!r}...; vertices must be integers\n"
         assert len(err) < 200
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("1-1", "[1,1]"), ("0-1,2-02", "[2,2]"),
+    pytest.param("0-1," + "1" * 4000 + "-" + "1" * 4000, f"[{'1' * 40}...,{'1' * 40}...]",
+                 id="0-1,4000-digits-twice")])
+def test_blocker_check_refuses_a_degenerate_edge_as_degenerate(capsys, text, shown):
+    # One short `error:` line that names the edge degenerate.
+    status, out, err = run(capsys, "blocker", "check", "--m", "2", "--edges", text)
+    assert (status, out, err) == (1, "", f"error: degenerate edge {shown}\n")
 
 
 def test_oracle_naive_cap_maps_to_domain_error(capsys):

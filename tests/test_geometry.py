@@ -472,11 +472,25 @@ def test_edge_text_rejects_malformed():
 # than `sys.get_int_max_str_digits()` (4300 by default) with a ValueError.
 @pytest.mark.parametrize("text", ["1-\u0662", "\u0660-1", "0-+1", "0_1-2", "1_0-2",
                                   "0-1.0", "0-", "0-0x1",
-                                  pytest.param("1-" + "1" * 5000, id="1-5000-digits")])
+                                  pytest.param("1-" + "1" * 5000, id="1-5000-digits"),
+                                  pytest.param("1" * 5000 + "-" + "1" * 5000,
+                                               id="5000-digits-twice")])
 def test_edge_text_takes_only_ascii_digits(text):
     # The refusal echoes at most the text's first 40 characters.
-    shown = "'1-" + "1" * 38 + "'..." if len(text) > 40 else repr(text)
+    shown = f"{text[:40]!r}..." if len(text) > 40 else repr(text)
     with pytest.raises(InputError) as info:
         edge_from_text(text)
     assert str(info.value) == f"bad edge {shown}; vertices must be integers"
     assert len(str(info.value)) < 200
+
+
+# A degenerate edge is refused as degenerate, not as a text error, and each
+# vertex is echoed up to its first 40 digits.
+@pytest.mark.parametrize("text, shown", [
+    ("1-1", "[1,1]"), (" 3 - 03 ", "[3,3]"), ("0-0", "[0,0]"),
+    pytest.param("1" * 4000 + "-" + "1" * 4000, f"[{'1' * 40}...,{'1' * 40}...]",
+                 id="4000-digits-twice")])
+def test_edge_text_refuses_a_degenerate_edge_as_degenerate(text, shown):
+    with pytest.raises(InputError) as info:
+        edge_from_text(text)
+    assert str(info.value) == f"degenerate edge {shown}"
