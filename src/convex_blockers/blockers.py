@@ -32,6 +32,13 @@ edges, ties to the smallest start position, the full cycle included.  The
 boundary edges are consecutive when that run holds every one of them, and
 only then, with at least two, is the run a spine and are the legs checked.
 
+The leg-order rule: legs attached at p < q with p + far_p <= q + far_q are
+a leg gap, room for a matching of parallels between them.  In slot order,
+attach descending, then far ascending, none exists exactly when the sums
+attach + far strictly increase: each gap pair spans a step where they do
+not, and each such step joins a gap pair.  A blocker's j-th leg in that
+order has sum 2(t + j) + 1 and offset eps_j = (far - attach - 1) / 2.
+
 The crossing rule: along a spine, boundary edges cross nothing, and legs
 attached at p < q cross exactly when far_p < far_q, which makes
 p + far_p <= q + far_q, a leg gap.  So the scan searches for crossing pairs
@@ -258,14 +265,14 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
     boundary consecutiveness, crossing-freeness, leg attachment locations,
     leg distance gaps.  By the crossing rule (see the module docstring) the
     crossing search runs only when there is no spine or a leg check has
-    failed, and the gap pairs are listed only when one sweep of the sorted
-    legs finds a gap.
+    failed, and the gap pairs are listed, in (attach, far) order, only when
+    the leg sums in slot order do not strictly increase (the leg-order rule).
 
     Returns (violations, boundary_path, spine): the violations and the
     input's own edges along the longest boundary run (ties go to the
     smallest start position), both tuples, and spine (start, t, legs) once
     that run of length t >= 2 holds every boundary edge, else None; legs
-    are (attach, far, edge) triples in start-relative labels.
+    are (attach, far, edge) triples in start-relative labels, in slot order.
     A longest run that holds fewer, t below the boundary count, is the
     boundary_not_consecutive violation.  Every part is immutable, because
     the same `ctx` and `edges` objects again get the cached result; a call
@@ -334,23 +341,13 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
             else:
                 leg_violations.append(
                     StructuralViolation(VIOLATION_BAD_ATTACHMENT, (e,)))
-        legs.sort()
-        # A gap, p < q with p + pf <= q + qf, would admit a matching of
-        # parallels slipping between the legs.  In (attach, far) order one
-        # exists exactly when a leg's sum reaches `least`, the smallest sum of
-        # the legs attached strictly earlier; only then are pairs listed.
-        least = earlier = 2 * n  # every sum is below 2n
-        group = None
-        for p, pf, _e in legs:
-            if p != group:  # a group's first leg has its smallest sum
-                group, least = p, earlier
-                earlier = min(earlier, p + pf)
-            if p + pf >= least:
-                leg_violations += [
-                    StructuralViolation(VIOLATION_LEG_GAP, tuple(sorted((e1, e2))))
-                    for (p, pf, e1), (q, qf, e2) in itertools.combinations(legs, 2)
-                    if p < q and p + pf <= q + qf]
-                break
+        legs.sort(key=lambda leg: (-leg[0], leg[1]))  # slot order: the leg-order rule
+        sums = [p + pf for p, pf, _e in legs]
+        if not all(map(operator.lt, sums, sums[1:])):
+            leg_violations += [
+                StructuralViolation(VIOLATION_LEG_GAP, tuple(sorted((e1, e2))))
+                for (p, pf, e1), (q, qf, e2) in itertools.combinations(sorted(legs), 2)
+                if p < q and p + pf <= q + qf]
         spine = (start, t, tuple(legs))
 
     if spine is None or leg_violations:  # else nothing crosses: the crossing rule
@@ -376,6 +373,8 @@ def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolati
     """Invert the generator: recover the unique (start, t, eps) of an
     m-edge set, or report the first violated structural condition.
 
+    A clean set holds one leg per remaining odd class in slot order, so eps
+    is their offsets, and the spec must still regenerate the set.
     A wrong cardinality is an input error rather than a violation.  A
     frozenset is scanned as is, so `validate_caterpillar` on the same
     `ctx` and set object next reuses this call's scan; an equal but
@@ -389,16 +388,7 @@ def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolati
     if violations:
         return violations[0]
     start, t, legs = spine
-    # attach + far == 2(t+j) + 1 pins down the class slot j = 0..m-t-1; the
-    # offset is then half the width of the leg minus the boundary step.
-    # The m - t legs fill the m - t slots when none is out of range or twice.
-    eps = [None] * (ctx.m - t)
-    for attach, far, _e in legs:
-        j = (attach + far - 1) // 2 - t
-        if not 0 <= j < len(eps) or eps[j] is not None:
-            raise StructureError("leg classes do not fill the expected slots")
-        eps[j] = (far - attach - 1) // 2
-    spec = BlockerSpec(start, t, eps)
+    spec = BlockerSpec(start, t, [(far - attach - 1) // 2 for attach, far, _e in legs])
     if generate_blocker(ctx, spec) != edges:
         raise StructureError(
             f"parsed parameters {spec} do not regenerate the edge set")

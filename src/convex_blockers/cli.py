@@ -155,6 +155,15 @@ def _ints(text: str, expects: str, count: int | None = None) -> list[int]:
     raise InputError(f"{expects}, got {quoted(text)}")
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag's value (`--m`, `--l`, `--m-min`, ...) by `_ints`' rule,
+    refused as argparse's `invalid int value: TEXT`, cut by `quoted`."""
+    try:
+        return _ints(text, "", 1)[0]
+    except InputError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
+
+
 def cmd_spm_triangular(ns: argparse.Namespace) -> int:
     ctx = PolygonContext(ns.m)
     i1, i2, i3 = _ints(ns.edges, "--edges expects three comma-separated positions", 3)
@@ -281,7 +290,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
         return p
 
     def polygon(p):
-        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--m", type=_int_flag, required=True)
 
     def listing(p):
         polygon(p)
@@ -294,7 +303,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
         if p := command(spm_sub, "parallel", "the l-th parallel matching",
                         cmd_spm_parallel):
             polygon(p)
-            p.add_argument("--l", type=int, required=True)
+            p.add_argument("--l", type=_int_flag, required=True)
         if p := command(spm_sub, "triangular",
                         "triangular matching from three boundary edges",
                         cmd_spm_triangular):
@@ -322,9 +331,9 @@ def build_parser(argv) -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("naive", "pruned"), default="pruned")
 
     if p := command(sub, "verify", "cross-check generator against search", cmd_verify):
-        p.add_argument("--m-min", type=int, required=True)
-        p.add_argument("--m-max", type=int, required=True)
-        p.add_argument("--naive-up-to", type=int, default=4)
+        p.add_argument("--m-min", type=_int_flag, required=True)
+        p.add_argument("--m-max", type=_int_flag, required=True)
+        p.add_argument("--naive-up-to", type=_int_flag, default=4)
 
     if p := command(sub, "render", "draw an edge set as SVG", cmd_render):
         polygon(p)

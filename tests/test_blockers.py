@@ -760,7 +760,7 @@ def _slow_scan(ctx, edges):
             if p < q and p + pf <= q + qf:
                 violations.append(StructuralViolation(
                     VIOLATION_LEG_GAP, tuple(sorted((e1, e2)))))
-        spine = (start, t, tuple(legs))
+        spine = (start, t, tuple(sorted(legs, key=lambda leg: (-leg[0], leg[1]))))
     return tuple(violations), path, spine
 
 
@@ -768,6 +768,15 @@ def _assert_scan_matches_the_slow_twin(ctx, edge_set):
     # A fresh copy each, so that neither result comes from the memo.
     assert (blockers._scan(ctx, frozenset(list(edge_set)))
             == _slow_scan(ctx, frozenset(list(edge_set)))), sorted(edge_set)
+
+
+def _odd_classes(ctx) -> list[list[Edge]]:
+    """The edges of each odd parallel class, one list per class."""
+    classes: dict[int, list[Edge]] = {}
+    for e in ctx.edges():
+        if edge_class(ctx, e) % 2:
+            classes.setdefault(edge_class(ctx, e), []).append(e)
+    return list(classes.values())
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -789,17 +798,14 @@ def test_scan_agrees_with_the_slow_twin_on_blockers_and_swaps(m):
         into = rng.choice([e for e in every_edge if e not in blocker])
         _assert_scan_matches_the_slow_twin(ctx, blocker - {out} | {into})
     specs = blocker_specs(ctx)
-    odd_classes: dict[int, list[Edge]] = {}
-    for e in every_edge:
-        if edge_class(ctx, e) % 2:
-            odd_classes.setdefault(edge_class(ctx, e), []).append(e)
+    odd_classes = _odd_classes(ctx)
     for _ in range(200):
         start, t, _eps = spec = rng.choice(specs)
         blocker = generate_blocker(ctx, spec)
         out = ctx.boundary_edge((start + rng.randrange(t)) % ctx.n)
         into = rng.choice([e for e in ctx.boundary_edges() if e not in blocker])
         _assert_scan_matches_the_slow_twin(ctx, blocker - {out} | {into})
-        transversal = frozenset(rng.choice(row) for row in odd_classes.values())
+        transversal = frozenset(rng.choice(row) for row in odd_classes)
         _assert_scan_matches_the_slow_twin(ctx, transversal)
 
 
@@ -903,6 +909,70 @@ def test_leg_gap_pairs_are_listed_only_for_a_set_with_a_gap(monkeypatch):
         assert len(calls) == gap, sorted(edge_set)
         gaps += gap
     assert 0 < gaps < len(cases)
+
+
+@st.composite
+def _legs(draw):
+    """Legs of a spine of length t at m, as distinct (attach, far) pairs
+    with 1 <= attach <= t - 1 and t + 1 <= far <= 2m - 1."""
+    m = draw(st.integers(2, 12))
+    t = draw(st.integers(2, m))
+    leg = st.tuples(st.integers(1, t - 1), st.integers(t + 1, 2 * m - 1))
+    return draw(st.lists(leg, unique=True, max_size=m))
+
+
+@given(_legs())
+@example([(2, 5), (2, 7), (1, 10)])  # the figure blocker's legs: sums 7, 9, 11
+@example([(2, 7), (1, 8)])  # equal sums, a gap
+@example([(1, 8), (1, 6), (3, 6)])  # one attach twice; sums 9, 7, 9, a gap
+def test_leg_sums_increase_in_slot_order_exactly_without_a_gap(legs):
+    # The leg-order rule from the definition alone: slot order is attach
+    # descending, then far ascending, and a gap is p < q with
+    # p + pf <= q + qf, looked for among all pairs.
+    sums = [p + pf for p, pf in sorted(legs, key=lambda leg: (-leg[0], leg[1]))]
+    increasing = all(x < y for x, y in zip(sums, sums[1:]))
+    gap = any(p < q and p + pf <= q + qf
+              for (p, pf), (q, qf) in itertools.combinations(sorted(legs), 2))
+    assert increasing == (not gap)
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_a_blockers_legs_come_in_slot_order(m):
+    # Leg j in the spine's order lies in class 2(t + j) + 1 and its offset is
+    # eps_j: the offsets increase strictly and are the spec's.
+    ctx = PolygonContext(m)
+    for spec, blocker in zip(blocker_specs(ctx), enumerate_blockers(ctx), strict=True):
+        _violations, _path, (start, t, legs) = blockers._scan(ctx, frozenset(list(blocker)))
+        assert (start, t) == spec[:2]
+        assert [a + f for a, f, _e in legs] == list(range(2 * t + 1, 2 * m, 2))
+        offsets = tuple((f - a - 1) // 2 for a, f, _e in legs)
+        assert all(x < y for x, y in zip(offsets, offsets[1:]))
+        assert offsets == spec.eps == parse_blocker(ctx, blocker).eps
+
+
+@given(_scan_runs())
+def test_parse_returns_a_spec_or_a_violation_on_any_set(run):
+    # A clean scan holds one leg per remaining odd class in slot order, and
+    # the offsets read off them regenerate the set: no StructureError.
+    pool, _steps = run
+    ctx = PolygonContext(6)
+    for edge_set in pool[:-1]:  # the last is the plain-pair twin
+        parsed = parse_blocker(ctx, frozenset(list(edge_set)))
+        assert isinstance(parsed, (BlockerSpec, StructuralViolation))
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_every_transversal_parses_to_a_blocker_or_a_violation(m):
+    # Every set of one edge per odd class, the only sets that reach the leg
+    # checks clean: none raises, and the specs found are the blockers.
+    ctx = PolygonContext(m)
+    specs = []
+    for transversal in itertools.product(*_odd_classes(ctx)):
+        parsed = parse_blocker(ctx, transversal)
+        assert isinstance(parsed, (BlockerSpec, StructuralViolation))
+        if isinstance(parsed, BlockerSpec):
+            specs.append(parsed)
+    assert sorted(specs) == blocker_specs(ctx)
 
 
 def _slow_is_tree(edges) -> bool:

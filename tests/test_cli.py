@@ -625,6 +625,31 @@ def test_every_polygon_command_takes_m_as_a_required_int(capsys, tmp_path,
     assert not target.exists()
 
 
+# Each integer flag, with the other flags of its command.  `int` would take
+# `٣` as 3, `1_0` as 10 and `+4` as 4, and argparse echoed a value of
+# 5,000 digits whole.
+INT_FLAGS = {
+    "--m": ["blocker", "count", "--m", "{}"],
+    "--l": ["spm", "parallel", "--m", "3", "--l", "{}"],
+    "--m-min": ["verify", "--m-min", "{}", "--m-max", "3"],
+    "--m-max": ["verify", "--m-min", "2", "--m-max", "{}"],
+    "--naive-up-to": ["verify", "--m-min", "2", "--m-max", "3", "--naive-up-to", "{}"],
+}
+
+
+@pytest.mark.parametrize("value", ["٣", "1_0", "+4", "1" * 5000],
+                         ids=["arabic-indic", "underscore", "plus", "5000-digits"])
+@pytest.mark.parametrize("flag", INT_FLAGS)
+def test_integer_flags_take_only_ascii_digits(capsys, flag, value):
+    argv = [value if word == "{}" else word for word in INT_FLAGS[flag]]
+    status, out, err = run(capsys, *argv)
+    echo = repr(value) if len(value) <= 40 else f"{value[:40]!r}..."
+    assert (status, out) == (2, "")
+    assert err.startswith("usage: convex-blockers ")
+    assert err.endswith(f" error: argument {flag}: invalid int value: {echo}\n")
+    assert len(err.encode()) < 256  # `verify`'s usage alone takes 120 bytes
+
+
 # The positions are ASCII digits after an optional `-`: `int` would read
 # `\u0665` as 5, `+9` and `0_9` as 9, and so take three of these as (1, 5, 9).
 @pytest.mark.parametrize("edges", ["1,x,9", "1,9", "1,\u0665,9", "1,5,+9", "1,5,0_9",

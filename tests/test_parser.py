@@ -22,7 +22,7 @@ def full_parser(argv=()) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # Argparse copies a parent's arguments ahead of the command's own.
     polygon = argparse.ArgumentParser(add_help=False)
-    polygon.add_argument("--m", type=int, required=True)
+    polygon.add_argument("--m", type=cli._int_flag, required=True)
     listing = argparse.ArgumentParser(add_help=False, parents=[polygon])
     listing.add_argument("--format", choices=("lines", "json"), default="lines")
 
@@ -32,7 +32,7 @@ def full_parser(argv=()) -> argparse.ArgumentParser:
     p.set_defaults(func=cli.cmd_spm_enumerate)
     p = spm_sub.add_parser("parallel", help="the l-th parallel matching",
                            parents=[polygon])
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=cli._int_flag, required=True)
     p.set_defaults(func=cli.cmd_spm_parallel)
     p = spm_sub.add_parser("triangular", parents=[polygon],
                            help="triangular matching from three boundary edges")
@@ -60,9 +60,9 @@ def full_parser(argv=()) -> argparse.ArgumentParser:
     p.set_defaults(func=cli.cmd_oracle)
 
     p = sub.add_parser("verify", help="cross-check generator against search")
-    p.add_argument("--m-min", type=int, required=True)
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--naive-up-to", type=int, default=4)
+    p.add_argument("--m-min", type=cli._int_flag, required=True)
+    p.add_argument("--m-max", type=cli._int_flag, required=True)
+    p.add_argument("--naive-up-to", type=cli._int_flag, default=4)
     p.set_defaults(func=cli.cmd_verify)
 
     p = sub.add_parser("render", help="draw an edge set as SVG", parents=[polygon])
