@@ -32,7 +32,7 @@ _EXPORTS = {
                   "first_avoiding_spm", "is_spm", "parallel_spm", "spm_pairs",
                   "triangular_spm", "triangular_spm_from_blocks"),
     "oracle": ("OracleResult", "SpmFamilyIndex", "build_family_index",
-               "find_minimum_blockers", "is_blocking_set", "missed_spms"),
+               "find_minimum_blockers", "is_blocking_set"),
     "render": ("RenderSpec", "render_figure"),
     "verify": ("VerificationReport", "verify_theorem"),
 }

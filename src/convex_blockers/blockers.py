@@ -64,28 +64,6 @@ from .geometry import (
 )
 from .matchings import DEFAULT_MAX_M
 
-__all__ = [
-    "BlockerSpec",
-    "StructuralViolation",
-    "CaterpillarReport",
-    "generate_blocker",
-    "enumerate_blockers",
-    "count_blockers",
-    "count_blockers_by_spine",
-    "parse_blocker",
-    "validate_caterpillar",
-    "restrict_blocker",
-    "blocker_to_json",
-    "VIOLATION_NOT_A_TREE",
-    "VIOLATION_EVEN_ORDER",
-    "VIOLATION_DUPLICATE_CLASS",
-    "VIOLATION_FEW_BOUNDARY",
-    "VIOLATION_NOT_CONSECUTIVE",
-    "VIOLATION_CROSSING",
-    "VIOLATION_BAD_ATTACHMENT",
-    "VIOLATION_LEG_GAP",
-]
-
 VIOLATION_NOT_A_TREE = "not_a_tree"
 VIOLATION_EVEN_ORDER = "even_order_edge"
 VIOLATION_DUPLICATE_CLASS = "duplicate_parallel_class"

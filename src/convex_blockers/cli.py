@@ -66,7 +66,7 @@ from .blockers import (
     validate_caterpillar,
 )
 from .errors import DOMAIN_ERRORS, InputError, check_cap, quoted
-from .geometry import PolygonContext, edges_from_text, edges_to_lists, edges_to_text
+from .geometry import PolygonContext, _ascii_int, edges_from_text, edges_to_lists, edges_to_text
 from .matchings import (
     _spm_splits,
     first_avoiding_spm,
@@ -142,16 +142,12 @@ def cmd_spm_parallel(ns: argparse.Namespace) -> int:
 
 
 def _ints(text: str, expects: str, count: int | None = None) -> list[int]:
-    """The comma-separated ints of `text`, `count` of them if given: ASCII
-    digits after a strip and an optional `-`, where `int` also takes `+1`,
-    `5_0` and `٣`.  Else refused as `EXPECTS, got TEXT`, cut by `quoted`."""
-    parts = [p.strip() for p in text.split(",")]
-    if count in (None, len(parts)) and all(
-            (digits := p.removeprefix("-")).isascii() and digits.isdigit() for p in parts):
-        try:
-            return [int(p) for p in parts]
-        except ValueError:  # more digits than `int` converts
-            pass
+    """The comma-separated ints of `text`, `count` of them if given, each
+    by `geometry._ascii_int`'s rule.  Else refused as `EXPECTS, got TEXT`,
+    cut by `quoted`."""
+    values = [_ascii_int(p) for p in text.split(",")]
+    if count in (None, len(values)) and None not in values:
+        return values
     raise InputError(f"{expects}, got {quoted(text)}")
 
 
@@ -162,6 +158,15 @@ def _int_flag(text: str) -> int:
         return _ints(text, "", 1)[0]
     except InputError:
         raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
+
+
+def _choice(text: str) -> str:
+    """A choice flag's value (`--mode`, `--format`), left to argparse's own
+    check and refusal when `quoted` echoes it whole, else refused as
+    `invalid choice: TEXT`, cut by `quoted`."""
+    if len(text) > 40:
+        raise argparse.ArgumentTypeError(f"invalid choice: {quoted(text)}")
+    return text
 
 
 def cmd_spm_triangular(ns: argparse.Namespace) -> int:
@@ -294,7 +299,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
 
     def listing(p):
         polygon(p)
-        p.add_argument("--format", choices=("lines", "json"), default="lines")
+        p.add_argument("--format", type=_choice, choices=("lines", "json"), default="lines")
 
     if spm := command(sub, "spm", "simple perfect matchings"):
         spm_sub = spm.add_subparsers(dest="subcommand", required=True)
@@ -328,7 +333,7 @@ def build_parser(argv) -> argparse.ArgumentParser:
 
     if p := command(sub, "oracle", "brute-force minimum blocking sets", cmd_oracle):
         polygon(p)
-        p.add_argument("--mode", choices=("naive", "pruned"), default="pruned")
+        p.add_argument("--mode", type=_choice, choices=("naive", "pruned"), default="pruned")
 
     if p := command(sub, "verify", "cross-check generator against search", cmd_verify):
         p.add_argument("--m-min", type=_int_flag, required=True)

@@ -11,8 +11,8 @@ Key facts baked into the representation:
 * Each `PolygonContext` makes each canonical `Edge` once, on its first
   lookup by vertex pair in `edge_of`; hot paths compute int endpoints and
   look the edge up there, so a single blocker costs its own m edges.  Only
-  the index, the searches and the edge-index lookups build the whole
-  m(2m-1)-edge table and its rank map, O(m^2) time and memory.
+  the family index and the searches build the whole m(2m-1)-edge table
+  `edge_table` and its rank map `edge_rank`, O(m^2) time and memory.
 * The *order* of an edge [i, i+k] is min(k, 2m-k); order-1 edges lie on
   the polygon boundary, everything else is a diagonal.
 * Two vertex-disjoint edges are *parallel* exactly when their endpoint
@@ -28,27 +28,10 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from functools import cached_property
 
 from .errors import InputError, check_ints, check_min, clipped, quoted
-
-__all__ = [
-    "Edge",
-    "PolygonContext",
-    "edge_order",
-    "edge_class",
-    "is_boundary_edge",
-    "boundary_position",
-    "are_parallel",
-    "parallel_class",
-    "edges_cross",
-    "edge_to_text",
-    "edges_to_text",
-    "edge_from_text",
-    "edges_from_text",
-    "edges_to_lists",
-]
 
 
 class Edge(namedtuple("_EdgePair", "a b")):
@@ -171,22 +154,6 @@ class PolygonContext:
                 f"{clipped(self.n)} vertices")
         return e
 
-    def edges(self) -> Iterator[Edge]:
-        """All edges, in edge-index (lexicographic) order."""
-        return iter(self.edge_table)
-
-    def edge_index(self, e: Edge) -> int:
-        """Lexicographic rank of (a, b) among all pairs; stable across runs."""
-        return self.edge_rank[self.check_edge(e)]
-
-    def edge_at(self, index: int) -> Edge:
-        """Inverse of edge_index."""
-        check_ints(index=index)
-        if not 0 <= index < self.edge_count:
-            raise InputError(
-                f"edge index {index} out of range 0..{self.edge_count - 1}")
-        return self.edge_table[index]
-
     def boundary_edge(self, position: int) -> Edge:
         """The boundary edge from vertex `position` to its cyclic successor."""
         return self.edge(position, position + 1)
@@ -280,25 +247,33 @@ def edges_to_text(edges: Iterable[Edge]) -> str:
     return ",".join(edge_to_text(e) for e in sorted(edges))
 
 
+def _ascii_int(text: str) -> int | None:
+    """The int written by `text`, ASCII digits after a strip and an optional
+    `-`, or None.  `int` would also take `+1`, `0_1` and non-ASCII digits
+    such as `٢`."""
+    text = text.strip()
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than `sys.get_int_max_str_digits()`
+            pass
+    return None
+
+
 def edge_from_text(text: str) -> Edge:
     parts = text.strip().split("-")
     if len(parts) != 2:
         raise InputError(f"bad edge {quoted(text)}; expected 'a-b'")
-    # Plain ASCII digits only: `int` would also take `+1`, `0_1` and
-    # non-ASCII digits such as `٢`.
-    a, b = (part.strip() for part in parts)
-    if a.isascii() and a.isdigit() and b.isascii() and b.isdigit():
-        try:
-            a, b = int(a), int(b)
-        except ValueError:  # more digits than `sys.get_int_max_str_digits()`
-            pass
-        else:
-            return Edge(a, b)  # refuses a degenerate edge as such
+    a, b = map(_ascii_int, parts)  # neither part holds a `-`
+    if a is not None and b is not None:
+        return Edge(a, b)  # refuses a degenerate edge as such
     raise InputError(f"bad edge {quoted(text)}; vertices must be integers")
 
 
 def edges_from_text(text: str) -> frozenset[Edge]:
-    items = [p for p in text.strip().split(",") if p]
+    """The edges of a comma-separated list; blank items are skipped."""
+    items = [p for p in text.strip().split(",") if p.strip()]
     if not items:
         raise InputError("empty edge list")
     edges: set[Edge] = set()

@@ -22,20 +22,6 @@ from collections.abc import Iterator
 from .errors import InfeasibilityError, InputError, check_cap, check_ints, clipped
 from .geometry import Edge, PolygonContext, edges_cross, parallel_class
 
-__all__ = [
-    "Matching",
-    "DEFAULT_MAX_M",
-    "is_spm",
-    "enumerate_spms",
-    "spm_pairs",
-    "catalan_number",
-    "first_avoiding_spm",
-    "parallel_spm",
-    "TriangularSpec",
-    "triangular_spm",
-    "triangular_spm_from_blocks",
-]
-
 Matching = frozenset[Edge]
 
 # The enumeration cap, fixed; the Catalan number for m=12 is 208012.

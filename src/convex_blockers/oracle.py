@@ -28,21 +28,6 @@ from .errors import InputError, check_cap
 from .geometry import Edge, PolygonContext, edges_to_lists, parallel_class
 from .matchings import enumerate_spms
 
-__all__ = [
-    "SpmFamilyIndex",
-    "OracleResult",
-    "MODE_NAIVE",
-    "MODE_CLASS_PRUNED",
-    "DEFAULT_NAIVE_CAP",
-    "DEFAULT_PRUNED_CAP",
-    "build_family_index",
-    "is_blocking_set",
-    "missed_spms",
-    "check_search_cap",
-    "find_minimum_blockers",
-    "oracle_report_json",
-]
-
 MODE_NAIVE = "naive"
 MODE_CLASS_PRUNED = "class_pruned"
 
@@ -74,8 +59,8 @@ def build_family_index(ctx: PolygonContext) -> SpmFamilyIndex:
     family = enumerate_spms(ctx)  # refuses m past the cap before any table
     spms = []
     hits = [0] * ctx.edge_count
-    # The enumerator's edges are valid by construction, so the context's
-    # table ranks them without the checks of `ctx.edge_index`.
+    # The enumerator's edges are valid by construction, so the rank map
+    # reads them without `ctx.check_edge`.
     rank = ctx.edge_rank
     for position, s in enumerate(family):
         bits = 0
@@ -108,15 +93,6 @@ def _unhit(index: SpmFamilyIndex, edges) -> int:
 def is_blocking_set(index: SpmFamilyIndex, edges) -> bool:
     """True when every matching in the family contains one of the edges."""
     return not _unhit(index, edges)
-
-
-def missed_spms(index: SpmFamilyIndex, edges) -> list[frozenset[Edge]]:
-    """The matchings the edge set fails to hit (empty for blocking sets),
-    in enumeration order.  The index reference the tests check
-    `matchings.first_avoiding_spm` against; the CLI needs only the first."""
-    table = index.ctx.edge_table
-    return [frozenset(map(table.__getitem__, _positions(index.spms[position])))
-            for position in _positions(_unhit(index, edges))]
 
 
 class OracleResult(namedtuple(
@@ -191,7 +167,6 @@ def _search_naive(index: SpmFamilyIndex) -> tuple[int, list[frozenset[Edge]], in
         nonlocal nodes
         nodes += 1
         if not need:
-            # The walk's indices are in range: read the table, not `edge_at`.
             found.append(frozenset(map(ctx.edge_table.__getitem__, chosen)))
             return
         if not budget:
@@ -214,7 +189,7 @@ def _search_class_pruned(index: SpmFamilyIndex
     ctx = index.ctx
     full = index.full_cover
     comp = [full & ~h for h in index.per_edge_hits]
-    # `parallel_class` makes valid edges: rank them without `edge_index`'s checks.
+    # `parallel_class` makes valid edges: rank them without `ctx.check_edge`.
     class_edges = [[(e, comp[ctx.edge_rank[e]]) for e in parallel_class(ctx, c)]
                    for c in range(1, ctx.n, 2)]
     # unreach[i]: the matchings no edge of classes i.. onwards hits

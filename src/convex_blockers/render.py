@@ -13,8 +13,6 @@ from collections import namedtuple
 
 from .geometry import Edge, PolygonContext
 
-__all__ = ["RenderSpec", "render_figure"]
-
 CANVAS = 600
 CENTER = 300.0
 RADIUS = 250.0

@@ -38,8 +38,6 @@ from .oracle import (
     is_blocking_set,
 )
 
-__all__ = ["VerificationReport", "verify_theorem"]
-
 MAX_WITNESSES = 10
 
 

@@ -41,11 +41,7 @@ from convex_blockers.geometry import (
     is_boundary_edge,
 )
 from convex_blockers.matchings import first_avoiding_spm
-from convex_blockers.oracle import (
-    build_family_index,
-    is_blocking_set,
-    missed_spms,
-)
+from convex_blockers.oracle import build_family_index, is_blocking_set
 from convex_blockers.render import RenderSpec, render_figure
 
 FIGURE_BLOCKER = edges("0-1,1-2,2-3,2-5,2-7,1-10")
@@ -349,8 +345,6 @@ EDGE_ENTRIES = {
     "first_avoiding_spm": first_avoiding_spm,
     "is_blocking_set": lambda ctx, members: is_blocking_set(
         build_family_index(ctx), members),
-    "missed_spms": lambda ctx, members: missed_spms(build_family_index(ctx), members),
-    "edge_index": lambda ctx, members: [ctx.edge_index(e) for e in members],
     "render_figure": lambda ctx, members: render_figure(
         RenderSpec(m=ctx.m, solid=tuple(members))),
     "restrict_blocker": lambda ctx, members: restrict_blocker(
@@ -570,7 +564,7 @@ def _scan_runs(draw):
     for spec in (draw(specs), draw(specs)):
         blocker = generate_blocker(ctx, spec)
         out = draw(st.sampled_from(sorted(blocker)))
-        into = draw(st.sampled_from([e for e in ctx.edges() if e not in blocker]))
+        into = draw(st.sampled_from([e for e in ctx.edge_table if e not in blocker]))
         pool += [blocker, (blocker - {out}) | {into}, frozenset(list(blocker))]
     pool.append(frozenset(tuple(e) for e in pool[0]))
     targets = st.none() | st.tuples(st.integers(0, 2), st.integers(0, len(pool) - 1))
@@ -603,7 +597,7 @@ def test_scan_runs_agree_with_fresh_copies(run):
 def _edge_sets(draw):
     m = draw(st.integers(1, 9))
     ctx = PolygonContext(m)
-    chosen = draw(st.sets(st.sampled_from(list(ctx.edges()))))
+    chosen = draw(st.sets(st.sampled_from(ctx.edge_table)))
     chosen |= draw(st.sets(st.sampled_from(ctx.boundary_edges())))
     if draw(st.booleans()):
         chosen.add(Edge(0, ctx.n - 1))  # the wrap edge
@@ -773,7 +767,7 @@ def _assert_scan_matches_the_slow_twin(ctx, edge_set):
 def _odd_classes(ctx) -> list[list[Edge]]:
     """The edges of each odd parallel class, one list per class."""
     classes: dict[int, list[Edge]] = {}
-    for e in ctx.edges():
+    for e in ctx.edge_table:
         if edge_class(ctx, e) % 2:
             classes.setdefault(edge_class(ctx, e), []).append(e)
     return list(classes.values())
@@ -791,7 +785,7 @@ def test_scan_agrees_with_the_slow_twin_on_blockers_and_swaps(m):
     for blocker in family:
         _assert_scan_matches_the_slow_twin(ctx, blocker)
     rng = random.Random(m)
-    every_edge = list(ctx.edges())
+    every_edge = ctx.edge_table
     for _ in range(200):
         blocker = rng.choice(family)
         out = rng.choice(sorted(blocker))
@@ -811,7 +805,7 @@ def test_scan_agrees_with_the_slow_twin_on_blockers_and_swaps(m):
 
 @given(_edge_sets())
 @example(_boundary_set(3, range(6)))  # the full cycle
-@example((PolygonContext(4), frozenset(PolygonContext(4).edges())))  # every edge
+@example((PolygonContext(4), frozenset(PolygonContext(4).edge_table)))  # every edge
 @example(_boundary_set(4, (7, 0, 3, 4)))  # a tie with the wrapping run
 @example((PolygonContext(5), edges("0-1,1-2,2-3,1-4,2-7")))  # a spine, two legs cross
 # a spine whose badly attached 4-7 crosses the leg 2-5
@@ -846,7 +840,7 @@ def _reshaped_blockers(draw):
     blocker = generate_blocker(
         ctx, BlockerSpec(draw(st.integers(0, ctx.n - 1)), m - len(eps), eps))
     dropped = draw(st.sets(st.sampled_from(sorted(blocker)), max_size=2))
-    added = draw(st.sets(st.sampled_from(list(ctx.edges())), max_size=3))
+    added = draw(st.sets(st.sampled_from(ctx.edge_table), max_size=3))
     return ctx, (blocker - dropped) | added
 
 
@@ -867,7 +861,7 @@ def test_no_blocker_swap_that_passes_the_leg_checks_crosses(m):
     family = enumerate_blockers(ctx)
     if m >= 6:
         family = family[:len(family) // ctx.n]
-    every_edge = list(ctx.edges())
+    every_edge = ctx.edge_table
     passed = 0
     for blocker in family:
         others = [e for e in every_edge if e not in blocker]
@@ -887,7 +881,7 @@ def test_leg_gap_pairs_are_listed_only_for_a_set_with_a_gap(monkeypatch):
         family = enumerate_blockers(ctx)
         cases += [(ctx, blocker) for blocker in family]
         rng = random.Random(m)
-        every_edge = list(ctx.edges())
+        every_edge = ctx.edge_table
         for _ in range(300):
             blocker = rng.choice(family)
             out = rng.choice(sorted(blocker))
@@ -1014,7 +1008,7 @@ def test_is_tree_fixed_cases(text, expected):
 
 
 @given(st.integers(1, 7).flatmap(
-    lambda m: st.sets(st.sampled_from(list(PolygonContext(m).edges())))))
+    lambda m: st.sets(st.sampled_from(PolygonContext(m).edge_table))))
 def test_is_tree_agrees_with_the_walk(chosen):
     assert blockers._is_tree(frozenset(chosen)) == _slow_is_tree(chosen)
 

@@ -223,14 +223,11 @@ def test_every_library_integer_check_has_the_one_message(monkeypatch, m, call):
     ("l", 2.5, lambda: parallel_spm(PolygonContext(3), 2.5)),
     ("class_id", True, lambda: parallel_class(PolygonContext(3), True)),
     ("class_id", 1.0, lambda: parallel_class(PolygonContext(3), 1.0)),
-    ("index", True, lambda: PolygonContext(3).edge_at(True)),
-    ("index", 1.0, lambda: PolygonContext(3).edge_at(1.0)),
 ], ids=["count_blockers_by_spine", "count_blockers_by_spine-bool", "catalan_number",
         "catalan_number-bool", "verify_theorem-naive_up_to", "triangular_spm-bool",
         "triangular_spm", "triangular_spm_from_blocks-start",
         "triangular_spm_from_blocks-bool", "triangular_spm_from_blocks-fan",
-        "parallel_spm-bool", "parallel_spm", "parallel_class-bool", "parallel_class",
-        "edge_at-bool", "edge_at"])
+        "parallel_spm-bool", "parallel_spm", "parallel_class-bool", "parallel_class"])
 def test_every_other_integer_check_names_its_argument(monkeypatch, name, value, call):
     # The same test as for m, before any range test, cap or index.
     monkeypatch.setattr(verify, "build_family_index", no_index)
@@ -251,10 +248,9 @@ def test_every_other_integer_check_names_its_argument(monkeypatch, name, value, 
      lambda: triangular_spm_from_blocks(PolygonContext(3), 0, 0, 1, 2)),
     ("l must be in 1..3, got 4", lambda: parallel_spm(PolygonContext(3), 4)),
     ("class id 6 out of range 0..5", lambda: parallel_class(PolygonContext(3), 6)),
-    ("edge index 15 out of range 0..14", lambda: PolygonContext(3).edge_at(15)),
 ], ids=["catalan_number", "count_blockers_by_spine", "verify_theorem",
         "triangular_spm", "triangular_spm_from_blocks-start",
-        "triangular_spm_from_blocks-fans", "parallel_spm", "parallel_class", "edge_at"])
+        "triangular_spm_from_blocks-fans", "parallel_spm", "parallel_class"])
 def test_an_int_out_of_range_keeps_its_range_message(message, call):
     with pytest.raises(InputError) as info:
         call()

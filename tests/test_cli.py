@@ -219,6 +219,16 @@ def test_blocker_check_wrong_cardinality_is_domain_error(capsys):
     assert "error:" in err
 
 
+# A blank item reads as an empty one: both are skipped, before and after
+# any edge, and the check prints what it prints for `0-1,1-2,1-4`.
+@pytest.mark.parametrize("text", ["0-1,,1-2,1-4", "0-1, ,1-2,1-4", "0-1,1-2,1-4,\t",
+                                  " ,0-1,1-2, ,1-4, ,"])
+def test_blocker_check_skips_blank_items(capsys, text):
+    expected = run(capsys, "blocker", "check", "--m", "3", "--edges", "0-1,1-2,1-4")
+    assert expected[0] == 0 and expected[2] == ""
+    assert run(capsys, "blocker", "check", "--m", "3", "--edges", text) == expected
+
+
 def test_blocker_check_repeated_edge_is_domain_error(capsys):
     # Folded into a set, the three items would pass as a two-edge blocker.
     status, out, err = run(capsys, "blocker", "check", "--m", "2",
@@ -521,7 +531,7 @@ def check_corpus() -> list[tuple[int, frozenset[Edge]]]:
     corpus = []
     for m in range(2, 6):
         ctx = PolygonContext(m)
-        universe = list(ctx.edges())
+        universe = ctx.edge_table
         for blocker in enumerate_blockers(ctx):
             dropped = rng.choice(sorted(blocker))
             added = rng.choice([e for e in universe if e not in blocker])
@@ -648,6 +658,37 @@ def test_integer_flags_take_only_ascii_digits(capsys, flag, value):
     assert err.startswith("usage: convex-blockers ")
     assert err.endswith(f" error: argument {flag}: invalid int value: {echo}\n")
     assert len(err.encode()) < 256  # `verify`'s usage alone takes 120 bytes
+
+
+# Each choice flag, after the other flags of its command.  argparse's own
+# `invalid choice` line repeats the value whole.
+CHOICE_FLAGS = [
+    pytest.param(["oracle", "--m", "3", "--mode"], id="oracle-mode"),
+    pytest.param(["spm", "enumerate", "--m", "3", "--format"], id="spm-format"),
+    pytest.param(["blocker", "enumerate", "--m", "3", "--format"], id="blocker-format"),
+]
+
+
+@pytest.mark.parametrize("command", CHOICE_FLAGS)
+def test_choice_flags_cut_a_long_value(capsys, command):
+    value = "x" * 5000
+    status, out, err = run(capsys, *command, value)
+    assert (status, out) == (2, "")
+    assert err.startswith("usage: convex-blockers ")
+    assert err.endswith(f" error: argument {command[-1]}: invalid choice: "
+                        f"{value[:40]!r}...\n")
+    assert len(err.encode()) < 256
+
+
+# A value of up to 40 characters meets argparse's own check and refusal,
+# whose list of choices is worded differently across Python versions.
+@pytest.mark.parametrize("command", CHOICE_FLAGS)
+@pytest.mark.parametrize("value", ["x", "x" * 40])
+def test_choice_flags_keep_argparses_refusal_up_to_40_characters(capsys, command, value):
+    status, out, err = run(capsys, *command, value)
+    assert (status, out) == (2, "")
+    assert (f" error: argument {command[-1]}: invalid choice: {value!r} "
+            "(choose from ") in err
 
 
 # The positions are ASCII digits after an optional `-`: `int` would read

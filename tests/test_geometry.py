@@ -148,14 +148,6 @@ def test_edge_replace_normalizes_and_checks():
         Edge(1, 3)._replace(a=3)
 
 
-def test_edge_at_refuses_out_of_range_index():
-    ctx = PolygonContext(3)
-    with pytest.raises(InputError, match=re.escape("edge index -1 out of range 0..14")):
-        ctx.edge_at(-1)
-    with pytest.raises(InputError, match=re.escape("edge index 15 out of range 0..14")):
-        ctx.edge_at(ctx.edge_count)
-
-
 def test_context_rejects_nonpositive_m():
     with pytest.raises(InputError):
         PolygonContext(0)
@@ -174,7 +166,7 @@ def test_context_counts():
     ctx = PolygonContext(6)
     assert ctx.n == 12
     assert ctx.edge_count == 66
-    assert len(list(ctx.edges())) == 66
+    assert len(ctx.edge_table) == 66
 
 
 def test_edge_order_examples():
@@ -192,7 +184,7 @@ def test_edge_order_rejects_out_of_range_vertex():
 @pytest.mark.parametrize("m", range(1, 9))
 def test_edge_order_bounds_and_parity(m):
     ctx = PolygonContext(m)
-    for e in ctx.edges():
+    for e in ctx.edge_table:
         order = edge_order(ctx, e)
         assert 1 <= order <= m
         assert (order % 2 == 1) == ((e.a + e.b) % 2 == 1)
@@ -213,7 +205,7 @@ def test_are_parallel_examples():
 @pytest.mark.parametrize("m", range(2, 6))
 def test_are_parallel_matches_arc_count_definition(m):
     ctx = PolygonContext(m)
-    for e, f in itertools.combinations(ctx.edges(), 2):
+    for e, f in itertools.combinations(ctx.edge_table, 2):
         assert are_parallel(ctx, e, f) == _parallel_by_arc_count(ctx, e, f)
         assert are_parallel(ctx, e, f) == are_parallel(ctx, f, e)
 
@@ -252,7 +244,7 @@ def test_parallel_classes_partition_edges(m):
 @pytest.mark.parametrize("m", range(2, 7))
 def test_parallel_edges_never_cross(m):
     ctx = PolygonContext(m)
-    for e, f in itertools.combinations(ctx.edges(), 2):
+    for e, f in itertools.combinations(ctx.edge_table, 2):
         if are_parallel(ctx, e, f):
             assert not edges_cross(ctx, e, f)
 
@@ -272,10 +264,10 @@ def test_edges_cross_examples():
 @pytest.mark.parametrize("m", range(2, 6))
 def test_edges_cross_matches_segment_geometry(m):
     ctx = PolygonContext(m)
-    for e, f in itertools.combinations(ctx.edges(), 2):
+    for e, f in itertools.combinations(ctx.edge_table, 2):
         assert edges_cross(ctx, e, f) == _cross_by_coordinates(ctx, e, f)
         assert edges_cross(ctx, e, f) == edges_cross(ctx, f, e)
-    for e in ctx.edges():
+    for e in ctx.edge_table:
         assert not edges_cross(ctx, e, e)
 
 
@@ -283,7 +275,7 @@ def test_edges_cross_matches_segment_geometry(m):
 def test_edges_cross_interleaving_property(data):
     m = data.draw(st.integers(2, 8))
     ctx = PolygonContext(m)
-    universe = list(ctx.edges())
+    universe = ctx.edge_table
     e = data.draw(st.sampled_from(universe))
     f = data.draw(st.sampled_from(universe))
     if edges_cross(ctx, e, f):
@@ -302,21 +294,20 @@ def test_edges_cross_interleaving_property(data):
 @pytest.mark.parametrize("m", range(1, 9))
 def test_edge_index_is_a_bijection(m):
     ctx = PolygonContext(m)
-    indexes = [ctx.edge_index(e) for e in ctx.edges()]
-    assert indexes == list(range(ctx.edge_count))
-    for i in indexes:
-        assert ctx.edge_index(ctx.edge_at(i)) == i
+    indexes = [ctx.edge_rank[e] for e in ctx.edge_table]
+    assert indexes == list(range(ctx.edge_count)) and len(ctx.edge_rank) == ctx.edge_count
 
 
 def test_edge_index_frozen_layout_m2():
     ctx = PolygonContext(2)
     expected = [Edge(0, 1), Edge(0, 2), Edge(0, 3), Edge(1, 2), Edge(1, 3), Edge(2, 3)]
-    assert list(ctx.edges()) == expected
-    assert [ctx.edge_at(i) for i in range(6)] == expected
+    assert ctx.edge_table == tuple(expected)
+    assert [ctx.edge_rank[e] for e in expected] == list(range(6))
 
 
 def _slow_edge_at(ctx: PolygonContext, index: int) -> Edge:
-    """The row walk `edge_at` ran before the context had an edge table."""
+    """The edge of index `index` by a walk over the rows a = 0, 1, ...,
+    with no edge table."""
     a = 0
     row = ctx.n - 1
     while index >= row:
@@ -335,13 +326,11 @@ def test_edge_table_holds_every_pair_once_in_index_order(m):
     assert len(ctx.edge_of) == 2 * len(ctx.edge_rank) == 2 * ctx.edge_count
     for i, e in enumerate(ctx.edge_table):
         assert type(e) is Edge
-        assert ctx.edge_at(i) is e
         assert e == _slow_edge_at(ctx, i)
-        assert ctx.edge_index(e) == ctx.edge_rank[e] == i
-        # the lexicographic rank of (a, b), as `edge_index` once computed it
+        assert ctx.edge_rank[e] == i
+        # the lexicographic rank of (a, b) in closed form
         assert i == e.a * (n - 1) - e.a * (e.a - 1) // 2 + (e.b - e.a - 1)
         assert ctx.edge_of[e.a, e.b] is e and ctx.edge_of[e.b, e.a] is e
-    assert tuple(ctx.edges()) == ctx.edge_table
 
 
 def test_edge_of_makes_each_edge_on_first_lookup():
@@ -355,7 +344,7 @@ def test_edge_of_makes_each_edge_on_first_lookup():
             ctx.edge_of[key]
     assert len(ctx.edge_of) == 2
     assert repr(ctx.edge_of[True, 4]) == "Edge(1, 4)"  # a bool key makes an int edge
-    assert ctx.edge_table[ctx.edge_index(e)] is e
+    assert ctx.edge_table[ctx.edge_rank[e]] is e
     assert len(ctx.edge_of) == 2 * ctx.edge_count
 
 
@@ -465,6 +454,18 @@ def test_edge_text_rejects_malformed():
         edges_from_text("0-1,1-0,1-2")
     with pytest.raises(InputError, match="^repeated edge 0-1$"):
         edges_from_text("0-1, 0-1")
+
+
+# A blank item reads as an empty one: both are skipped.
+@pytest.mark.parametrize("text", ["0-1,,1-2", "0-1, ,1-2", "0-1,1-2,\t", " , 0-1, ,1-2 , ,"])
+def test_edge_list_skips_blank_items(text):
+    assert edges_from_text(text) == {Edge(0, 1), Edge(1, 2)}
+
+
+@pytest.mark.parametrize("text", ["", " ", ",", " , ", ", ,", ",\t,"])
+def test_edge_list_of_blank_items_is_empty(text):
+    with pytest.raises(InputError, match="^empty edge list$"):
+        edges_from_text(text)
 
 
 # `int` takes each of these vertex texts but the last: a non-ASCII digit, a

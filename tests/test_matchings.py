@@ -31,7 +31,6 @@ from convex_blockers.matchings import (
     triangular_spm,
     triangular_spm_from_blocks,
 )
-from convex_blockers.oracle import SpmFamilyIndex, build_family_index, missed_spms
 
 # Catalan numbers 0..8, frozen from the convolution recurrence below.
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -193,19 +192,19 @@ def test_enumeration_cap():
 
 
 # ---------------------------------------------------------------------------
-# first_avoiding_spm, against the matching index as its slow twin
+# first_avoiding_spm, against its definition: the first matching of
+# `enumerate_spms` that shares no edge with the set
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _index(m: int) -> SpmFamilyIndex:
-    return build_family_index(PolygonContext(m))
+def _spms(m: int) -> list:
+    return enumerate_spms(PolygonContext(m))
 
 
-def _assert_first_avoiding_matches_index(m: int, chosen) -> None:
+def _assert_first_avoiding_matches_definition(m: int, chosen) -> None:
     ctx = PolygonContext(m)
-    missed = missed_spms(_index(m), chosen)
     found = first_avoiding_spm(ctx, chosen)
-    assert found == (missed[0] if missed else None)
+    assert found == next((s for s in _spms(m) if s.isdisjoint(chosen)), None)
     if found is not None:
         assert is_spm(ctx, found)
         assert found.isdisjoint(chosen)
@@ -215,19 +214,19 @@ def _assert_first_avoiding_matches_index(m: int, chosen) -> None:
 def test_first_avoiding_spm_on_blockers_and_one_edge_swaps(m):
     ctx = PolygonContext(m)
     rng = random.Random(m)
-    all_edges = list(ctx.edges())
+    all_edges = ctx.edge_table
     for blocker in enumerate_blockers(ctx):
-        _assert_first_avoiding_matches_index(m, blocker)
+        _assert_first_avoiding_matches_definition(m, blocker)
         dropped = rng.choice(sorted(blocker))
         added = rng.choice([e for e in all_edges if e not in blocker])
-        _assert_first_avoiding_matches_index(m, (blocker - {dropped}) | {added})
+        _assert_first_avoiding_matches_definition(m, (blocker - {dropped}) | {added})
 
 
 @given(st.data())
 def test_first_avoiding_spm_on_arbitrary_edge_sets(data):
     m = data.draw(st.integers(2, 8))
-    chosen = data.draw(st.sets(st.sampled_from(list(PolygonContext(m).edges()))))
-    _assert_first_avoiding_matches_index(m, chosen)
+    chosen = data.draw(st.sets(st.sampled_from(PolygonContext(m).edge_table)))
+    _assert_first_avoiding_matches_definition(m, chosen)
 
 
 def _slow_first_avoiding_spm(ctx: PolygonContext, chosen):
@@ -264,7 +263,7 @@ def test_first_avoiding_spm_agrees_with_the_slow_twin(m):
     # swap, and seeded edge sets of 0..3m edges, past DEFAULT_MAX_M too.
     ctx = PolygonContext(m)
     rng = random.Random(m)
-    all_edges = list(ctx.edges())
+    all_edges = ctx.edge_table
     if m <= 6:
         blockers = enumerate_blockers(ctx)
     else:

@@ -12,7 +12,7 @@ from conftest import edges
 from convex_blockers.blockers import enumerate_blockers, parse_blocker, BlockerSpec
 from convex_blockers.errors import InputError, ResourceLimitError
 from convex_blockers.geometry import Edge, PolygonContext, parallel_class
-from convex_blockers.matchings import enumerate_spms
+from convex_blockers.matchings import enumerate_spms, first_avoiding_spm
 from convex_blockers.oracle import (
     MODE_CLASS_PRUNED,
     MODE_NAIVE,
@@ -22,7 +22,6 @@ from convex_blockers.oracle import (
     build_family_index,
     find_minimum_blockers,
     is_blocking_set,
-    missed_spms,
     oracle_report_json,
 )
 
@@ -50,7 +49,7 @@ def test_index_refuses_the_cap_before_the_edge_table():
 
 
 def _mask(ctx, edge_set):
-    return sum(1 << ctx.edge_index(e) for e in edge_set)
+    return sum(1 << ctx.edge_rank[e] for e in edge_set)
 
 
 @pytest.mark.parametrize("m", range(1, 6))
@@ -59,8 +58,8 @@ def test_index_hits_consistent_with_masks(m):
     index = build_family_index(ctx)
     spms = enumerate_spms(ctx)
     assert list(index.spms) == [_mask(ctx, s) for s in spms]
-    for e in ctx.edges():
-        hits = index.per_edge_hits[ctx.edge_index(e)]
+    for e in ctx.edge_table:
+        hits = index.per_edge_hits[ctx.edge_rank[e]]
         for position, spm in enumerate(spms):
             assert bool(hits >> position & 1) == (e in spm)
 
@@ -68,12 +67,12 @@ def test_index_hits_consistent_with_masks(m):
 def test_edge_hit_counts():
     index2 = build_family_index(PolygonContext(2))
     ctx2 = index2.ctx
-    assert index2.per_edge_hits[ctx2.edge_index(Edge(0, 1))].bit_count() == 1
+    assert index2.per_edge_hits[ctx2.edge_rank[Edge(0, 1)]].bit_count() == 1
     # in the hexagon, [1,4] forces [2,3] and [0,5], so it lies in exactly
     # one matching
     index3 = build_family_index(PolygonContext(3))
     ctx3 = index3.ctx
-    hits = index3.per_edge_hits[ctx3.edge_index(Edge(1, 4))]
+    hits = index3.per_edge_hits[ctx3.edge_rank[Edge(1, 4)]]
     assert hits.bit_count() == 1
     (position,) = [i for i in range(index3.spm_count) if hits >> i & 1]
     assert index3.spms[position] == _mask(ctx3, edges("0-5,1-4,2-3"))
@@ -94,12 +93,7 @@ def test_two_far_apart_boundary_edges_do_not_block():
     index = build_family_index(PolygonContext(3))
     pair = edges("0-1,4-5")
     assert not is_blocking_set(index, pair)
-    assert edges("1-2,3-4,5-0") in missed_spms(index, pair)
-
-
-def test_missed_spms_empty_for_blockers():
-    index = build_family_index(PolygonContext(3))
-    assert missed_spms(index, edges("0-1,1-2,1-4")) == []
+    assert first_avoiding_spm(index.ctx, pair) == edges("1-2,3-4,5-0")
 
 
 @given(st.data())
@@ -107,10 +101,9 @@ def test_blocking_checks_match_the_definition(data):
     m = data.draw(st.integers(2, 6))
     ctx = PolygonContext(m)
     index = build_family_index(ctx)
-    chosen = data.draw(st.sets(st.sampled_from(list(ctx.edges()))))
+    chosen = data.draw(st.sets(st.sampled_from(ctx.edge_table)))
     spms = enumerate_spms(ctx)
     assert is_blocking_set(index, chosen) == all(s & chosen for s in spms)
-    assert missed_spms(index, chosen) == [s for s in spms if not s & chosen]
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -124,7 +117,7 @@ def test_a_set_blocks_exactly_when_its_turn_does(m):
     n = ctx.n
     index = build_family_index(ctx)
     rng = random.Random(m)
-    every_edge = list(ctx.edges())
+    every_edge = ctx.edge_table
 
     def turn(edge_set):
         return frozenset(Edge((a + 1) % n, (b + 1) % n) for a, b in edge_set)
@@ -260,7 +253,7 @@ def _slow_search_naive(index):
             for i in combo:
                 covered |= hits[i]
             if covered == full:
-                found.append(frozenset(ctx.edge_at(i) for i in combo))
+                found.append(frozenset(ctx.edge_table[i] for i in combo))
         if found:
             break
     return size, found, nodes
@@ -270,7 +263,7 @@ def _slow_search_class_pruned(index):
     """Reference pruned search: complements the hit masks at every node."""
     ctx = index.ctx
     hits = index.per_edge_hits
-    class_edges = [[(e, hits[ctx.edge_index(e)]) for e in parallel_class(ctx, c)]
+    class_edges = [[(e, hits[ctx.edge_rank[e]]) for e in parallel_class(ctx, c)]
                    for c in range(1, ctx.n, 2)]
     suffix = [0] * (len(class_edges) + 1)
     for i in range(len(class_edges) - 1, -1, -1):
@@ -371,7 +364,7 @@ def test_empty_family_is_blocked_by_every_singleton(m):
     # Every edge set blocks the empty family, the empty set included, so
     # the naive search stops at budget 0 with one node.
     index = _restricted(_index(m), ())
-    assert all(is_blocking_set(index, [e]) for e in index.ctx.edges())
+    assert all(is_blocking_set(index, [e]) for e in index.ctx.edge_table)
     assert _search_naive(index) == (0, [frozenset()], 1)
     _assert_naive_twins_agree(index)
     assert _search_class_pruned(index) == _slow_search_class_pruned(index)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import subprocess
 import sys
@@ -19,7 +20,7 @@ PUBLIC_NAMES = [
     "count_blockers", "count_blockers_by_spine", "edge_class", "edge_order",
     "edges_cross", "enumerate_blockers", "enumerate_spms", "find_minimum_blockers",
     "first_avoiding_spm", "generate_blocker", "is_blocking_set", "is_spm",
-    "missed_spms", "parallel_class", "parallel_spm", "parse_blocker", "render_figure",
+    "parallel_class", "parallel_spm", "parse_blocker", "render_figure",
     "restrict_blocker", "spm_pairs", "triangular_spm", "triangular_spm_from_blocks",
     "validate_caterpillar", "verify_theorem",
 ]
@@ -27,6 +28,20 @@ PUBLIC_NAMES = [
 
 def test_the_public_names_are_unchanged():
     assert convex_blockers.__all__ == PUBLIC_NAMES
+
+
+def test_no_submodule_lists_public_names_of_its_own():
+    # `_EXPORTS` is the one list of public names: a module `__all__` would be
+    # a second list to keep in step with it.  Read from the syntax trees, so
+    # `__main__` is not run.
+    sources = sorted(Path(convex_blockers.__file__).parent.glob("*.py"))
+    assert {path.stem for path in sources} == {*convex_blockers._EXPORTS,
+                                               "__init__", "__main__"}
+    for path in sources:
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert "__all__" not in {node.id for node in ast.walk(tree)
+                                     if isinstance(node, ast.Name)}, path.name
 
 
 @pytest.mark.parametrize("name", PUBLIC_NAMES)

@@ -24,7 +24,8 @@ def full_parser(argv=()) -> argparse.ArgumentParser:
     polygon = argparse.ArgumentParser(add_help=False)
     polygon.add_argument("--m", type=cli._int_flag, required=True)
     listing = argparse.ArgumentParser(add_help=False, parents=[polygon])
-    listing.add_argument("--format", choices=("lines", "json"), default="lines")
+    listing.add_argument("--format", type=cli._choice, choices=("lines", "json"),
+                         default="lines")
 
     spm = sub.add_parser("spm", help="simple perfect matchings")
     spm_sub = spm.add_subparsers(dest="subcommand", required=True)
@@ -56,7 +57,7 @@ def full_parser(argv=()) -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force minimum blocking sets",
                        parents=[polygon])
-    p.add_argument("--mode", choices=("naive", "pruned"), default="pruned")
+    p.add_argument("--mode", type=cli._choice, choices=("naive", "pruned"), default="pruned")
     p.set_defaults(func=cli.cmd_oracle)
 
     p = sub.add_parser("verify", help="cross-check generator against search")

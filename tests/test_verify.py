@@ -86,7 +86,7 @@ def test_witnesses_are_the_first_mismatches_in_edge_order(monkeypatch):
     rng = random.Random(5)
     extra = set()
     while len(extra) < 12:
-        candidate = frozenset(rng.sample(list(ctx.edges()), 4))
+        candidate = frozenset(rng.sample(ctx.edge_table, 4))
         if candidate not in blockers:
             extra.add(candidate)
     fake = [s for s in blockers if s not in dropped] + sorted(extra, key=sorted)
@@ -207,7 +207,7 @@ def test_a_non_blocking_set_past_start_0_fails_the_blocking_checks(monkeypatch):
     blockers = enumerate_blockers(ctx)
     rng = random.Random(m)
     position = rng.randrange(1 << (m - 2), len(blockers))
-    every_edge = list(ctx.edges())
+    every_edge = ctx.edge_table
     while True:
         swap = frozenset(rng.sample(every_edge, m))
         if not is_blocking_set(index, swap):
