@@ -15,10 +15,14 @@ arbitrary edge set back to its parameters or reporting the first broken
 structural condition), counts them in closed form, and shrinks them into
 the polygon on 2m-2 vertices.
 
+The spine-and-legs formula lives once, in `_blocker_edges`.
+`generate_blocker` validates a spec and runs it, and stays the per-spec
+reference; `parse_blocker` runs it directly on the parameters it reads off
+a clean set, because they cannot fail `BlockerSpec.validate`.
 `enumerate_blockers` generates only start 0's 2^(m-2) blockers through
-`generate_blocker`, which stays the per-spec reference; starts 1..2m-1 are
-start 0's turned one vertex at a time.  The turn is exact, because a spec's
-start only adds s mod 2m to every vertex label.
+`generate_blocker`; starts 1..2m-1 are start 0's turned one vertex at a
+time.  The turn is exact, because a spec's start only adds s mod 2m to
+every vertex label.
 
 Generation and the structural checks work on int endpoints: generated
 edges are looked up in the context's `edge_of` table, and the scan unpacks
@@ -156,17 +160,23 @@ class CaterpillarReport(namedtuple(
         }
 
 
-def generate_blocker(ctx: PolygonContext, spec: BlockerSpec) -> frozenset[Edge]:
-    """The m-edge set a spec describes: the spine plus one diagonal per
-    remaining odd parallel class, hanging off interior spine vertices.
-    Its edges are the context's canonical objects from `edge_of`."""
-    s, t, eps = spec.validate(ctx)
+def _blocker_edges(ctx: PolygonContext, start: int, t: int, eps) -> frozenset[Edge]:
+    """The spine-and-legs formula on parameters the caller has checked, as
+    the context's canonical edges from `edge_of`."""
     n, edge_of = ctx.n, ctx.edge_of
-    base = s + t - 1  # leg j spans base + j - eps_j .. base + j + eps_j + 1
-    edges = [edge_of[v % n, (v + 1) % n] for v in range(s, s + t)]
+    base = start + t - 1  # leg j spans base + j - eps_j .. base + j + eps_j + 1
+    edges = [edge_of[v % n, (v + 1) % n] for v in range(start, start + t)]
     for j, e in enumerate(eps, start=1):
         edges.append(edge_of[(base + j - e) % n, (base + j + e + 1) % n])
     return frozenset(edges)
+
+
+def generate_blocker(ctx: PolygonContext, spec: BlockerSpec) -> frozenset[Edge]:
+    """The m-edge set a spec describes: the spine plus one diagonal per
+    remaining odd parallel class, hanging off interior spine vertices.
+    The spec is validated first; the edges are the context's canonical
+    objects from `edge_of`."""
+    return _blocker_edges(ctx, *spec.validate(ctx))
 
 
 def _start_specs(ctx: PolygonContext, start: int):
@@ -352,11 +362,20 @@ def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolati
     m-edge set, or report the first violated structural condition.
 
     A clean set holds one leg per remaining odd class in slot order, so eps
-    is their offsets, and the spec must still regenerate the set.
+    is their offsets, and the parameters must still regenerate the set
+    through `_blocker_edges`, the formula `generate_blocker` runs.
     A wrong cardinality is an input error rather than a violation.  A
     frozenset is scanned as is, so `validate_caterpillar` on the same
     `ctx` and set object next reuses this call's scan; an equal but
     distinct set is scanned again (see `_scan_memo`).
+
+    The spec is never passed through `BlockerSpec.validate`, which it
+    cannot fail: after a clean scan, start is a vertex, the t >= 2 boundary
+    edges are the spine and the other m - t edges its legs, and every leg
+    has attach in 1..t-1, far in t+1..2m-1 and an odd class, so far - attach
+    is odd and at most 2m-3, giving 1 <= eps_j <= m-2; in slot order attach
+    never rises while attach + far strictly rises, so the offsets strictly
+    rise.
     """
     check_min(ctx.m, 2)
     edges = frozenset(edges)
@@ -366,11 +385,11 @@ def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolati
     if violations:
         return violations[0]
     start, t, legs = spine
-    spec = BlockerSpec(start, t, [(far - attach - 1) // 2 for attach, far, _e in legs])
-    if generate_blocker(ctx, spec) != edges:
-        raise StructureError(
-            f"parsed parameters {spec} do not regenerate the edge set")
-    return spec
+    eps = tuple([(far - attach - 1) // 2 for attach, far, _e in legs])
+    if _blocker_edges(ctx, start, t, eps) != edges:
+        raise StructureError(f"parsed parameters {BlockerSpec(start, t, eps)} "
+                             "do not regenerate the edge set")
+    return BlockerSpec(start, t, eps)
 
 
 def _is_tree(edges: frozenset[Edge]) -> bool:

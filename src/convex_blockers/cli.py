@@ -31,8 +31,11 @@ enumerate`, `oracle` and `verify`; naive search (`DEFAULT_NAIVE_CAP`, 5)
 and pruned search (`DEFAULT_PRUNED_CAP`, 11) for `oracle`, which checks it
 before building the index, and `verify`, which checks every m of its range
 up front; count (14271, the largest m whose count the interpreter prints)
-for `blocker count` in both forms.  `blocker check` has no cap: its blocking
-check is one (2m+1)-bit int row per vertex, and it makes only the set's edges.
+for `blocker count` in both forms; single set (`SINGLE_SET_CAP`, 10000)
+for `spm parallel`, `spm triangular` and `render`, which build O(m) edges or
+SVG elements from m alone.  `blocker check` has no cap: it takes exactly m
+edges, so its input bounds m, its blocking check is one (2m+1)-bit int row
+per vertex, and it makes only the set's edges.
 It hands `parse_blocker` and `validate_caterpillar` the same frozenset, so
 the set is scanned once: the scan keeps its last result, keyed by object
 identity, since an equal set of plain pairs must still be refused.
@@ -86,6 +89,12 @@ def _count_cap() -> int:
     return m
 
 
+# The cap on m of `spm parallel`, `spm triangular` and `render`, whose edges
+# or SVG elements grow with m alone: at it the slowest, `render
+# --blocker-spec 0,10000`, takes about 0.2 s and 42 MB, and an m far beyond
+# it would run for minutes before the first byte.
+SINGLE_SET_CAP = 10000
+
 # Texts (lines, or items of a JSON array) per `sys.stdout.write` in the bulk
 # commands: few system calls under `-u`, and a join small enough that the
 # peak memory stays where one write per line kept it.
@@ -137,6 +146,7 @@ def cmd_spm_enumerate(ns: argparse.Namespace) -> int:
 
 def cmd_spm_parallel(ns: argparse.Namespace) -> int:
     ctx = PolygonContext(ns.m)
+    check_cap(ns.m, SINGLE_SET_CAP, "single-set")
     print(edges_to_text(parallel_spm(ctx, ns.l)))
     return 0
 
@@ -171,6 +181,7 @@ def _choice(text: str) -> str:
 
 def cmd_spm_triangular(ns: argparse.Namespace) -> int:
     ctx = PolygonContext(ns.m)
+    check_cap(ns.m, SINGLE_SET_CAP, "single-set")
     i1, i2, i3 = _ints(ns.edges, "--edges expects three comma-separated positions", 3)
     print(edges_to_text(triangular_spm(ctx, i1, i2, i3)))
     return 0
@@ -255,6 +266,7 @@ def _parse_blocker_spec_arg(text: str) -> BlockerSpec:
 def cmd_render(ns: argparse.Namespace) -> int:
     from .render import RenderSpec, render_figure
     ctx = PolygonContext(ns.m)
+    check_cap(ns.m, SINGLE_SET_CAP, "single-set")
     if ns.blocker_spec is not None:
         solid = generate_blocker(ctx, _parse_blocker_spec_arg(ns.blocker_spec))
     else:

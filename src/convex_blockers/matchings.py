@@ -46,6 +46,40 @@ def is_spm(ctx: PolygonContext, edges) -> bool:
                    for e, f in itertools.combinations(edge_list, 2))
 
 
+class _IntervalBlocks(dict):
+    """The matchings of each vertex interval [i, j), keyed (i, j), as in
+    `_spm_splits`, each built on its first lookup and kept.  The recursion
+    runs through the dict, not a function's own closure cell, so the blocks
+    hold no reference cycle and go with the dict, not at a collector pass."""
+
+    __slots__ = ("unit",)
+
+    def __init__(self, n: int, unit, empty) -> None:
+        super().__init__(((i, i), [empty]) for i in range(n + 1))
+        self.unit = unit
+
+    def splits(self, i: int, j: int, block):
+        # Vertex i takes each k at odd distance; splitting off the even
+        # intervals [i+1, k) and [k+1, j) leaves no crossing to filter out.
+        unit = self.unit
+        return ((unit(i, k), block((i + 1, k)), block((k + 1, j)))
+                for k in range(i + 1, j, 2))
+
+    def __missing__(self, key):
+        # Every proper sub-interval [i, j) is built once and kept.
+        block = self[key] = [head + inner + outer for head, inners, outers
+                             in self.splits(*key, self.__getitem__)
+                             for inner in inners for outer in outers]
+        return block
+
+    def take(self, key) -> list:
+        # [1, k) is no other interval's block and [k+1, 2m) no later top
+        # split's, so the top blocks are dropped after use, not kept.
+        block = self[key]
+        del self[key]
+        return block
+
+
 def _spm_splits(ctx: PolygonContext, unit, empty):
     """The matchings as one `(unit(0, k), inners, outers)` per partner k
     of vertex 0, ascending: the matchings of 1..k-1 and of k+1..2m-1, each
@@ -53,28 +87,8 @@ def _spm_splits(ctx: PolygonContext, unit, empty):
     `head + inner + outer`, inner-major, lists them lexicographically.
     Refuses m past `DEFAULT_MAX_M` on the call."""
     check_cap(ctx.m, DEFAULT_MAX_M, "enumeration")
-    memo = {(i, i): [empty] for i in range(ctx.n + 1)}
-
-    def splits(i: int, j: int, blocks):
-        # Vertex i takes each k at odd distance; splitting off the even
-        # intervals [i+1, k) and [k+1, j) leaves no crossing to filter out.
-        return ((unit(i, k), blocks(i + 1, k), blocks(k + 1, j))
-                for k in range(i + 1, j, 2))
-
-    def block(i: int, j: int) -> list:
-        # Every proper sub-interval [i, j) is built once and kept.
-        if (i, j) not in memo:
-            memo[i, j] = [head + inner + outer for head, inners, outers
-                          in splits(i, j, block) for inner in inners for outer in outers]
-        return memo[i, j]
-
-    def top_block(i: int, j: int) -> list:
-        # [1, k) is no other interval's block and [k+1, 2m) no later top
-        # split's, so the top blocks are dropped after use, not kept.
-        block(i, j)
-        return memo.pop((i, j))
-
-    return splits(0, ctx.n, top_block)
+    blocks = _IntervalBlocks(ctx.n, unit, empty)
+    return blocks.splits(0, ctx.n, blocks.take)
 
 
 def spm_pairs(ctx: PolygonContext) -> Iterator[tuple[tuple[int, int], ...]]:

@@ -181,6 +181,9 @@ def _search_naive(index: SpmFamilyIndex) -> tuple[int, list[frozenset[Edge]], in
         walk(full, size, (1 << ctx.edge_count) - 1)
         if found:
             break
+    # `walk` reaches itself through its closure cell; emptying the cell ends
+    # that cycle, so the mask tables go with this call, not at a collector pass.
+    del walk
     return size, found, nodes
 
 
@@ -221,6 +224,7 @@ def _search_class_pruned(index: SpmFamilyIndex
 
     if not full & unreach[0]:
         walk(0, full)
+    del walk  # frees the tables now: see `_search_naive`
     return ctx.m, found, nodes
 
 

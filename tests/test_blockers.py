@@ -321,9 +321,15 @@ def test_parse_examples():
 
 
 def test_parse_refuses_a_spec_that_does_not_regenerate_the_set(monkeypatch):
+    # The parse regenerates through the generator's own edge builder; a
+    # builder that moves the leg 2-5 to 2-6 yields a set one vertex off.
     ctx = PolygonContext(6)
-    monkeypatch.setattr(blockers, "generate_blocker",
-                        lambda ctx, spec: frozenset())
+    build = blockers._blocker_edges
+
+    def moved_leg(ctx, start, t, eps):
+        return build(ctx, start, t, eps) - {Edge(2, 5)} | {Edge(2, 6)}
+
+    monkeypatch.setattr(blockers, "_blocker_edges", moved_leg)
     with pytest.raises(StructureError) as refused:
         parse_blocker(ctx, FIGURE_BLOCKER)
     assert str(refused.value) == ("parsed parameters BlockerSpec(start=0, t=3, "
@@ -773,24 +779,20 @@ def _odd_classes(ctx) -> list[list[Edge]]:
     return list(classes.values())
 
 
-@pytest.mark.parametrize("m", range(2, 9))
-def test_scan_agrees_with_the_slow_twin_on_blockers_and_swaps(m):
-    # Violations with their witnesses, path and spine, on every blocker and
-    # on 200 seeded mutants of each kind the benchmark draws: one-edge
-    # swaps, which cross, repeat a class or break the spine; broken spines,
-    # one spine edge moved to another boundary position; and transversals,
-    # one random edge of each odd parallel class.
-    ctx = PolygonContext(m)
+def _blockers_and_mutants(ctx):
+    """Every blocker, then 200 seeded mutants of each kind the benchmark
+    draws: one-edge swaps, which cross, repeat a class or break the spine;
+    broken spines, one spine edge moved to another boundary position; and
+    transversals, one random edge of each odd parallel class."""
     family = enumerate_blockers(ctx)
-    for blocker in family:
-        _assert_scan_matches_the_slow_twin(ctx, blocker)
-    rng = random.Random(m)
+    yield from family
+    rng = random.Random(ctx.m)
     every_edge = ctx.edge_table
     for _ in range(200):
         blocker = rng.choice(family)
         out = rng.choice(sorted(blocker))
         into = rng.choice([e for e in every_edge if e not in blocker])
-        _assert_scan_matches_the_slow_twin(ctx, blocker - {out} | {into})
+        yield blocker - {out} | {into}
     specs = blocker_specs(ctx)
     odd_classes = _odd_classes(ctx)
     for _ in range(200):
@@ -798,9 +800,28 @@ def test_scan_agrees_with_the_slow_twin_on_blockers_and_swaps(m):
         blocker = generate_blocker(ctx, spec)
         out = ctx.boundary_edge((start + rng.randrange(t)) % ctx.n)
         into = rng.choice([e for e in ctx.boundary_edges() if e not in blocker])
-        _assert_scan_matches_the_slow_twin(ctx, blocker - {out} | {into})
-        transversal = frozenset(rng.choice(row) for row in odd_classes)
-        _assert_scan_matches_the_slow_twin(ctx, transversal)
+        yield blocker - {out} | {into}
+        yield frozenset(rng.choice(row) for row in odd_classes)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_scan_agrees_with_the_slow_twin_on_blockers_and_swaps(m):
+    # Violations with their witnesses, path and spine.
+    ctx = PolygonContext(m)
+    for edge_set in _blockers_and_mutants(ctx):
+        _assert_scan_matches_the_slow_twin(ctx, edge_set)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_every_parsed_spec_passes_validate(m):
+    # `parse_blocker` never runs `validate` on the spec it returns; its
+    # docstring argues that the spec cannot fail it.
+    ctx = PolygonContext(m)
+    parsed = [parse_blocker(ctx, edge_set) for edge_set in _blockers_and_mutants(ctx)]
+    specs = [spec for spec in parsed if isinstance(spec, BlockerSpec)]
+    assert len(specs) >= count_blockers(m)
+    for spec in specs:
+        assert spec.validate(ctx) is spec and type(spec.eps) is tuple
 
 
 @given(_edge_sets())

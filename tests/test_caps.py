@@ -1,4 +1,4 @@
-"""Every bound on m: one message for the lower bounds and one for the four
+"""Every bound on m: one message for the lower bounds and one for the five
 size caps, and every refusal before any work."""
 
 from __future__ import annotations
@@ -88,12 +88,17 @@ def cli_refusal(capsys, *argv) -> str:
     (14272, "count", 14271,
      lambda capsys: cli_refusal(capsys, "blocker", "count", "--m", "14272",
                                 "--by-spine")),
+    (10001, "single-set", 10000,
+     lambda capsys: cli_refusal(capsys, "spm", "parallel", "--m", "10001", "--l", "1")),
+    (10001, "single-set", 10000,
+     lambda capsys: cli_refusal(capsys, "spm", "triangular", "--m", "10001",
+                                "--edges", "1,6668,13335")),
 ], ids=["spm_pairs", "spm-enumerate", "spm-enumerate-json", "blocker-enumerate",
         "blocker-enumerate-json",
         "enumerate_blockers",
         "naive-find_minimum_blockers", "naive-verify", "naive-oracle",
         "pruned-find_minimum_blockers", "pruned-verify", "pruned-oracle", "blocker-count",
-        "blocker-count-by-spine"])
+        "blocker-count-by-spine", "spm-parallel", "spm-triangular"])
 def test_every_refusal_has_the_one_cap_format(capsys, m, what, cap, refuse):
     assert refuse(capsys) == f"m={m} exceeds the {what} cap {cap}"
 
@@ -113,6 +118,22 @@ def test_blocker_enumeration_refuses_before_any_edge_table(m, error, message, ca
         call(ctx)
     assert str(info.value) == message
     assert not {"edge_of", "edge_table", "edge_rank"} & set(vars(ctx))
+
+
+@pytest.mark.parametrize("solid", [("--edges", "0-1"), ("--blocker-spec", "0,2")],
+                         ids=["edges", "blocker-spec"])
+def test_render_refuses_the_single_set_cap_before_writing(capsys, tmp_path, solid):
+    out = tmp_path / "big.svg"
+    message = cli_refusal(capsys, "render", "--m", "10001", *solid, "--out", str(out))
+    assert message == "m=10001 exceeds the single-set cap 10000"
+    assert not out.exists()
+
+
+def test_the_single_set_cap_admits_its_own_value(capsys):
+    m = cli.SINGLE_SET_CAP
+    assert cli.run_cli(["spm", "parallel", "--m", str(m), "--l", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("-") == m and out.startswith("0-1,")
 
 
 def test_count_cap_is_the_largest_count_that_prints(capsys):

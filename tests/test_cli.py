@@ -23,7 +23,8 @@ from convex_blockers.blockers import (
 )
 from convex_blockers.cli import _CHUNK, run_cli
 from convex_blockers.geometry import Edge, PolygonContext, edges_to_lists, edges_to_text
-from convex_blockers.matchings import enumerate_spms, is_spm
+from convex_blockers.errors import InfeasibilityError, InputError
+from convex_blockers.matchings import enumerate_spms, is_spm, parallel_spm, triangular_spm
 from test_blockers import MUTANTS
 
 
@@ -840,13 +841,13 @@ BIG_ECHO = "1" * 40 + "..."
      f"spine length t must be in 2..3, got {BIG_ECHO}"),
     (["verify", "--m-min", BIG, "--m-max", "3"],
      f"need 2 <= m_min <= m_max, got {BIG_ECHO}..3"),
-    # A long m is cut where the range it bounds is echoed, too.
-    (["spm", "parallel", "--m", BIG, "--l", "0"], f"l must be in 1..{BIG_ECHO}, got 0"),
+    # A long m of a single-set command meets its cap first.
+    (["spm", "parallel", "--m", BIG, "--l", "0"],
+     f"m={BIG_ECHO} exceeds the single-set cap 10000"),
     (["spm", "triangular", "--m", BIG, "--edges", f"1,2,{2 * int(BIG)}"],
-     "no triangular matching exists: consecutive distances "
-     f"(p=1, q={'2' * 40}..., r=1) must all be below m={BIG_ECHO}"),
+     f"m={BIG_ECHO} exceeds the single-set cap 10000"),
     (["render", "--m", BIG, "--blocker-spec", "0,1"],
-     f"spine length t must be in 2..{BIG_ECHO}, got 1"),
+     f"m={BIG_ECHO} exceeds the single-set cap 10000"),
 ], ids=["repeated-edge", "check_edge", "render-thick-edges", "spm-parallel",
         "spm-triangular", "blocker-count", "spm-enumerate", "render-blocker-spec",
         "lower-bound", "blocker-check-size", "blocker-spec-start",
@@ -863,6 +864,21 @@ def test_a_refusal_echoes_only_the_start_of_a_long_number(tmp_path, capsys,
     assert (status, out, err) == (1, "", f"error: {message}\n")
     assert len(err) < 200
     assert not target.exists()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ctx: parallel_spm(ctx, 0), f"l must be in 1..{BIG_ECHO}, got 0"),
+    (lambda ctx: triangular_spm(ctx, 1, 2, 2 * int(BIG)),
+     "no triangular matching exists: consecutive distances "
+     f"(p=1, q={'2' * 40}..., r=1) must all be below m={BIG_ECHO}"),
+    (lambda ctx: generate_blocker(ctx, BlockerSpec(0, 1)),
+     f"spine length t must be in 2..{BIG_ECHO}, got 1"),
+], ids=["parallel_spm", "triangular_spm", "generate_blocker"])
+def test_a_long_m_is_cut_where_the_range_it_bounds_is_echoed(call, message):
+    # The library has no single-set cap, so these refusals still echo m.
+    with pytest.raises((InputError, InfeasibilityError)) as refused:
+        call(PolygonContext(int(BIG)))
+    assert str(refused.value) == message
 
 
 def test_render_repeated_edge_is_domain_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import random
 
@@ -12,7 +13,7 @@ from conftest import edges
 from convex_blockers.blockers import enumerate_blockers, parse_blocker, BlockerSpec
 from convex_blockers.errors import InputError, ResourceLimitError
 from convex_blockers.geometry import Edge, PolygonContext, parallel_class
-from convex_blockers.matchings import enumerate_spms, first_avoiding_spm
+from convex_blockers.matchings import enumerate_spms, first_avoiding_spm, spm_pairs
 from convex_blockers.oracle import (
     MODE_CLASS_PRUNED,
     MODE_NAIVE,
@@ -24,6 +25,7 @@ from convex_blockers.oracle import (
     is_blocking_set,
     oracle_report_json,
 )
+from convex_blockers.verify import verify_theorem
 
 
 # ---------------------------------------------------------------------------
@@ -375,3 +377,26 @@ def test_restricting_to_every_matching_changes_nothing(m):
     index = _index(m)
     whole = _restricted(index, range(index.spm_count))
     assert whole == index
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx, index: list(spm_pairs(ctx)),
+    lambda ctx, index: enumerate_spms(ctx),
+    lambda ctx, index: build_family_index(ctx),
+    lambda ctx, index: find_minimum_blockers(index, MODE_NAIVE),
+    lambda ctx, index: find_minimum_blockers(index, MODE_CLASS_PRUNED),
+    lambda ctx, index: verify_theorem(2, 6, 4),
+], ids=["spm_pairs", "enumerate_spms", "build_family_index", "naive", "pruned",
+        "verify_theorem"])
+def test_a_call_leaves_no_reference_cycle(call):
+    # The interval blocks and the searches' mask tables are freed when the
+    # call ends, not kept alive in a cycle until a collector pass.
+    ctx = PolygonContext(5)
+    index = build_family_index(ctx)
+    gc.collect()
+    gc.disable()
+    try:
+        call(ctx, index)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -37,7 +37,8 @@ import convex_blockers
 
 SOURCES = sorted(Path(convex_blockers.__file__).parent.glob("*.py"))
 LOWER_BOUND_TEXT = re.compile(r"\bm (must be )?>= ")
-GENERATOR = ("generate_blocker", "enumerate_blockers", "_start_specs", "_blockers_by_start")
+GENERATOR = ("generate_blocker", "_blocker_edges", "enumerate_blockers", "_start_specs",
+             "_blockers_by_start")
 TABLES = ("edge_of", "edge_table", "edge_rank")
 SCAN_MEMO = "_scan_memo"
 # (module, top-level function, names it may not use, rule): each witness
@@ -285,6 +286,9 @@ def test_naive_search_names_no_class_fact(source, expected):
     ("blockers.py", "def parse_blocker(ctx, edges):\n"
      "    return generate_blocker(ctx, spec) == edges\n", []),
     ("blockers.py", "def validate_caterpillar(ctx, edges):\n"
+     "    return _blocker_edges(ctx, start, t, eps) == edges\n",
+     ["2: generator in the structural witness"]),
+    ("blockers.py", "def validate_caterpillar(ctx, edges):\n"
      "    return tuple(ctx.edge_of[p, p + 1] for p in range(3))\n",
      ["2: context table in the structural witness"]),
     ("blockers.py", "def generate_blocker(ctx, spec):\n"
@@ -297,6 +301,7 @@ def test_naive_search_names_no_class_fact(source, expected):
      ["3: enumerator in the blocking table"]),
 ], ids=["tree-names-scan", "tree-alone", "scan-names-tree", "both-in-validate",
         "validate-names-generator", "scan-names-generator", "parse-regenerates",
+        "validate-names-edge-builder",
         "validate-names-table", "generator-uses-table",
         "catalan-names-enumerator", "catalan-closed-form", "table-names-enumerator"])
 def test_witnesses_name_nothing_they_check(module, source, expected):
