@@ -33,9 +33,9 @@ before building the index, and `verify`, which checks every m of its range
 up front; count (14271, the largest m whose count the interpreter prints)
 for `blocker count` in both forms; single set (`SINGLE_SET_CAP`, 10000)
 for `spm parallel`, `spm triangular` and `render`, which build O(m) edges or
-SVG elements from m alone.  `blocker check` has no cap: it takes exactly m
-edges, so its input bounds m, its blocking check is one (2m+1)-bit int row
-per vertex, and it makes only the set's edges.
+SVG elements from m alone.  `blocker check` has no cap and makes only the m
+edges it takes, but they do not bound its cost: its blocking check makes
+O(m^2) steps, each on a (2m+1)-bit int row (see `first_avoiding_spm`).
 It hands `parse_blocker` and `validate_caterpillar` the same frozenset, so
 the set is scanned once: the scan keeps its last result, keyed by object
 identity, since an equal set of plain pairs must still be refused.

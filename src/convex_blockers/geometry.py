@@ -158,9 +158,6 @@ class PolygonContext:
         """The boundary edge from vertex `position` to its cyclic successor."""
         return self.edge(position, position + 1)
 
-    def boundary_edges(self) -> list[Edge]:
-        return [self.boundary_edge(p) for p in range(self.n)]
-
 
 def edge_order(ctx: PolygonContext, e: Edge) -> int:
     """min(k, 2m-k) for the edge [i, i+k]; between 1 and m.  The paper's
@@ -176,10 +173,6 @@ def edge_class(ctx: PolygonContext, e: Edge) -> int:
     """Parallel-class id of an edge: its endpoint sum modulo 2m."""
     ctx.check_edge(e)
     return (e.a + e.b) % ctx.n
-
-
-def is_boundary_edge(ctx: PolygonContext, e: Edge) -> bool:
-    return edge_order(ctx, e) == 1
 
 
 def boundary_position(ctx: PolygonContext, e: Edge) -> int:

@@ -122,7 +122,9 @@ def first_avoiding_spm(ctx: PolygonContext, edges) -> Matching | None:
     shares no edge with `edges`, or None when `edges` blocks every one.
 
     Runs the enumeration's interval-split recurrence on one (2m+1)-bit int
-    per start vertex, O(m^2) int steps, and lists no matchings: no cap.
+    per start vertex and lists no matchings: no cap.  Each of its O(m^2)
+    steps works on such an int, so the cost grows faster than m^2: 0.27 s
+    at m = 1000, 0.93 s at 2000, 4.9 s at 4000 (ROADMAP item 5).
     """
     banned = set(map(ctx.check_edge, edges))
     n = ctx.n

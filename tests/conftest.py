@@ -6,12 +6,37 @@ import random
 
 from convex_blockers.blockers import BlockerSpec
 from convex_blockers.errors import InputError
-from convex_blockers.geometry import Edge, PolygonContext, boundary_position, edges_from_text
+from convex_blockers.geometry import (
+    Edge,
+    PolygonContext,
+    boundary_position,
+    edge_class,
+    edge_order,
+    edges_from_text,
+)
 
 
 def edges(text: str) -> frozenset[Edge]:
     """Shorthand: edge set from `a-b,c-d` text."""
     return edges_from_text(text)
+
+
+def boundary_edges(ctx: PolygonContext) -> list[Edge]:
+    """The 2m boundary edges, by position: [p, p+1 mod 2m] at index p."""
+    return [ctx.boundary_edge(p) for p in range(ctx.n)]
+
+
+def is_boundary_edge(ctx: PolygonContext, e: Edge) -> bool:
+    return edge_order(ctx, e) == 1
+
+
+def odd_classes(ctx: PolygonContext) -> list[list[Edge]]:
+    """The edges of each odd parallel class, one list per class."""
+    classes: dict[int, list[Edge]] = {}
+    for e in ctx.edge_table:
+        if edge_class(ctx, e) % 2:
+            classes.setdefault(edge_class(ctx, e), []).append(e)
+    return list(classes.values())
 
 
 def random_spec(rng: random.Random, m: int) -> BlockerSpec:

@@ -9,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BoundaryCase, classify_boundary_set, edges
+from conftest import (
+    BoundaryCase,
+    boundary_edges,
+    classify_boundary_set,
+    edges,
+    is_boundary_edge,
+)
 from convex_blockers.blockers import (
     VIOLATION_BAD_ATTACHMENT,
     VIOLATION_CROSSING,
@@ -31,7 +37,6 @@ from convex_blockers.geometry import (
     boundary_position,
     edge_class,
     edges_cross,
-    is_boundary_edge,
 )
 from convex_blockers.matchings import enumerate_spms, triangular_spm, TriangularSpec
 from convex_blockers.oracle import (
@@ -180,7 +185,7 @@ def test_criterion_7_trichotomy(contexts, generated):
     ok = True
     for m in range(2, 6):
         ctx = contexts[m]
-        boundary = ctx.boundary_edges()
+        boundary = boundary_edges(ctx)
         for r in range(1, ctx.n + 1):
             for subset in itertools.combinations(boundary, r):
                 if not classify_boundary_set(ctx, subset):

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import BoundaryCase, blocker_specs, classify_boundary_set, edges
+from conftest import (
+    BoundaryCase,
+    blocker_specs,
+    boundary_edges,
+    classify_boundary_set,
+    edges,
+    is_boundary_edge,
+    odd_classes,
+)
 from convex_blockers import blockers
 from convex_blockers.blockers import (
     VIOLATION_BAD_ATTACHMENT,
@@ -38,11 +46,11 @@ from convex_blockers.geometry import (
     boundary_position,
     edge_class,
     edges_cross,
-    is_boundary_edge,
 )
 from convex_blockers.matchings import first_avoiding_spm
 from convex_blockers.oracle import build_family_index, is_blocking_set
 from convex_blockers.render import RenderSpec, render_figure
+from wide import _blockers_and_mutants, _slow_scan, parse_validate, scan_twin
 
 FIGURE_BLOCKER = edges("0-1,1-2,2-3,2-5,2-7,1-10")
 
@@ -378,9 +386,8 @@ def test_parse_wrong_cardinality_is_an_input_error():
 
 @pytest.mark.parametrize("m", range(2, 8))
 def test_parse_round_trip_exhaustive(m):
-    ctx = PolygonContext(m)
-    for spec in blocker_specs(ctx):
-        assert parse_blocker(ctx, generate_blocker(ctx, spec)) == spec
+    # Each blocker parses to its own spec, validates ok and is a tree.
+    parse_validate(m)
 
 
 @st.composite
@@ -604,7 +611,7 @@ def _edge_sets(draw):
     m = draw(st.integers(1, 9))
     ctx = PolygonContext(m)
     chosen = draw(st.sets(st.sampled_from(ctx.edge_table)))
-    chosen |= draw(st.sets(st.sampled_from(ctx.boundary_edges())))
+    chosen |= draw(st.sets(st.sampled_from(boundary_edges(ctx))))
     if draw(st.booleans()):
         chosen.add(Edge(0, ctx.n - 1))  # the wrap edge
     return ctx, frozenset(chosen)
@@ -676,7 +683,7 @@ def test_longest_run_agrees_with_the_slow_twin(m):
     # (ties to the smallest start) as `_scan` found them before.
     ctx = PolygonContext(m)
     n = ctx.n
-    by_position = {boundary_position(ctx, e): e for e in ctx.boundary_edges()}
+    by_position = {boundary_position(ctx, e): e for e in boundary_edges(ctx)}
     positions = sorted(by_position)
     for mask in range(1 << len(positions)):
         chosen = {p: by_position[p] for i, p in enumerate(positions) if mask >> i & 1}
@@ -693,123 +700,16 @@ def test_longest_run_agrees_with_the_slow_twin(m):
         assert (spine[:2] if spine else None) == expected
 
 
-def _slow_scan(ctx, edges):
-    """The scan `_scan` replaced, without its memo: the crossing search
-    copies the tail of the sorted list for each edge, and the run finder
-    walks from the first position and from each one after a gap."""
-    n = ctx.n
-    edge_list = sorted(map(ctx.check_edge, edges))
-    violations = []
-    by_class = {}
-    boundary = {}
-    interior = []
-    for e in edge_list:
-        a, b = e
-        c = (a + b) % n
-        if c % 2 == 0:
-            violations.append(StructuralViolation(VIOLATION_EVEN_ORDER, (e,)))
-        elif c in by_class:
-            violations.append(
-                StructuralViolation(VIOLATION_DUPLICATE_CLASS, (by_class[c], e)))
-        else:
-            by_class[c] = e
-        if b - a == 1:
-            boundary[a] = e
-        elif b - a == n - 1:
-            boundary[n - 1] = e
-        else:
-            interior.append(e)
-    if len(boundary) < 2:
-        violations.append(StructuralViolation(
-            VIOLATION_FEW_BOUNDARY, tuple(boundary.values())))
-    start = t = 0
-    previous = None
-    for p in sorted(boundary):
-        if p - 1 != previous:
-            k = 1
-            while k < n and (p + k) % n in boundary:
-                k += 1
-            if k > t:
-                start, t = p, k
-        previous = p
-    if t < len(boundary):
-        violations.append(StructuralViolation(
-            VIOLATION_NOT_CONSECUTIVE, tuple(boundary.values())))
-    path = tuple(boundary[p % n] for p in range(start, start + t))
-    for i, e in enumerate(edge_list):
-        a, b = e
-        for f in edge_list[i + 1:]:
-            c, d = f
-            if c >= b:
-                break
-            if a < c and b < d:
-                violations.append(StructuralViolation(VIOLATION_CROSSING, (e, f)))
-    spine = None
-    if t == len(boundary) and t >= 2:
-        legs = []
-        for e in interior:
-            a, b = e
-            ra, rb = (a - start) % n, (b - start) % n
-            attach, far = (ra, rb) if ra < rb else (rb, ra)
-            if 1 <= attach <= t - 1 and t + 1 <= far:
-                legs.append((attach, far, e))
-            else:
-                violations.append(StructuralViolation(VIOLATION_BAD_ATTACHMENT, (e,)))
-        legs.sort()
-        for (p, pf, e1), (q, qf, e2) in itertools.combinations(legs, 2):
-            if p < q and p + pf <= q + qf:
-                violations.append(StructuralViolation(
-                    VIOLATION_LEG_GAP, tuple(sorted((e1, e2)))))
-        spine = (start, t, tuple(sorted(legs, key=lambda leg: (-leg[0], leg[1]))))
-    return tuple(violations), path, spine
-
-
 def _assert_scan_matches_the_slow_twin(ctx, edge_set):
     # A fresh copy each, so that neither result comes from the memo.
     assert (blockers._scan(ctx, frozenset(list(edge_set)))
             == _slow_scan(ctx, frozenset(list(edge_set)))), sorted(edge_set)
 
 
-def _odd_classes(ctx) -> list[list[Edge]]:
-    """The edges of each odd parallel class, one list per class."""
-    classes: dict[int, list[Edge]] = {}
-    for e in ctx.edge_table:
-        if edge_class(ctx, e) % 2:
-            classes.setdefault(edge_class(ctx, e), []).append(e)
-    return list(classes.values())
-
-
-def _blockers_and_mutants(ctx):
-    """Every blocker, then 200 seeded mutants of each kind the benchmark
-    draws: one-edge swaps, which cross, repeat a class or break the spine;
-    broken spines, one spine edge moved to another boundary position; and
-    transversals, one random edge of each odd parallel class."""
-    family = enumerate_blockers(ctx)
-    yield from family
-    rng = random.Random(ctx.m)
-    every_edge = ctx.edge_table
-    for _ in range(200):
-        blocker = rng.choice(family)
-        out = rng.choice(sorted(blocker))
-        into = rng.choice([e for e in every_edge if e not in blocker])
-        yield blocker - {out} | {into}
-    specs = blocker_specs(ctx)
-    odd_classes = _odd_classes(ctx)
-    for _ in range(200):
-        start, t, _eps = spec = rng.choice(specs)
-        blocker = generate_blocker(ctx, spec)
-        out = ctx.boundary_edge((start + rng.randrange(t)) % ctx.n)
-        into = rng.choice([e for e in ctx.boundary_edges() if e not in blocker])
-        yield blocker - {out} | {into}
-        yield frozenset(rng.choice(row) for row in odd_classes)
-
-
 @pytest.mark.parametrize("m", range(2, 9))
 def test_scan_agrees_with_the_slow_twin_on_blockers_and_swaps(m):
     # Violations with their witnesses, path and spine.
-    ctx = PolygonContext(m)
-    for edge_set in _blockers_and_mutants(ctx):
-        _assert_scan_matches_the_slow_twin(ctx, edge_set)
+    scan_twin(m, count=200)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -817,7 +717,8 @@ def test_every_parsed_spec_passes_validate(m):
     # `parse_blocker` never runs `validate` on the spec it returns; its
     # docstring argues that the spec cannot fail it.
     ctx = PolygonContext(m)
-    parsed = [parse_blocker(ctx, edge_set) for edge_set in _blockers_and_mutants(ctx)]
+    family, mutants = _blockers_and_mutants(ctx, 200)
+    parsed = [parse_blocker(ctx, edge_set) for edge_set in family + mutants]
     specs = [spec for spec in parsed if isinstance(spec, BlockerSpec)]
     assert len(specs) >= count_blockers(m)
     for spec in specs:
@@ -982,7 +883,7 @@ def test_every_transversal_parses_to_a_blocker_or_a_violation(m):
     # checks clean: none raises, and the specs found are the blockers.
     ctx = PolygonContext(m)
     specs = []
-    for transversal in itertools.product(*_odd_classes(ctx)):
+    for transversal in itertools.product(*odd_classes(ctx)):
         parsed = parse_blocker(ctx, transversal)
         assert isinstance(parsed, (BlockerSpec, StructuralViolation))
         if isinstance(parsed, BlockerSpec):
@@ -1167,7 +1068,7 @@ def test_boundary_checks_name_the_edge():
 @pytest.mark.parametrize("m", range(2, 5))
 def test_classify_every_nonempty_subset_gets_a_case(m):
     ctx = PolygonContext(m)
-    boundary = ctx.boundary_edges()
+    boundary = boundary_edges(ctx)
     for r in range(1, ctx.n + 1):
         for subset in itertools.combinations(boundary, r):
             assert classify_boundary_set(ctx, subset)

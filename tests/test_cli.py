@@ -13,11 +13,10 @@ from pathlib import Path
 import pytest
 
 import convex_blockers
-from conftest import blocker_specs, edges
+from conftest import edges
 from convex_blockers import cli
 from convex_blockers.blockers import (
     BlockerSpec,
-    blocker_to_json,
     enumerate_blockers,
     generate_blocker,
 )
@@ -26,6 +25,7 @@ from convex_blockers.geometry import Edge, PolygonContext, edges_to_lists, edges
 from convex_blockers.errors import InfeasibilityError, InputError
 from convex_blockers.matchings import enumerate_spms, is_spm, parallel_spm, triangular_spm
 from test_blockers import MUTANTS
+from wide import _reference_texts
 
 
 def run(capsys, *args):
@@ -409,14 +409,7 @@ def test_blocker_enumerate_stdout_is_pinned(capsys, fmt, m, digest):
 def test_blocker_enumerate_equals_the_per_spec_rendering(capsys, m, fmt):
     # The command turns start 0's blockers through the other starts; the
     # reference renders every spec through `generate_blocker` on its own.
-    ctx = PolygonContext(m)
-    specs = blocker_specs(ctx)
-    if fmt == "json":
-        expected = json.dumps([blocker_to_json(ctx, spec) for spec in specs],
-                              separators=(",", ":")) + "\n"
-    else:
-        expected = "".join(edges_to_text(generate_blocker(ctx, spec)) + "\n"
-                           for spec in specs)
+    expected = _reference_texts(PolygonContext(m))[fmt]
     status, out, err = run(capsys, "blocker", "enumerate", "--m", str(m),
                            "--format", fmt)
     assert (status, out, err) == (0, expected, "")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import is_boundary_edge
 from convex_blockers.blockers import BlockerSpec, CaterpillarReport, StructuralViolation
 from convex_blockers.errors import InputError
 from convex_blockers.geometry import (
@@ -25,7 +26,6 @@ from convex_blockers.geometry import (
     edges_from_text,
     edges_to_lists,
     edges_to_text,
-    is_boundary_edge,
     parallel_class,
 )
 from convex_blockers.matchings import TriangularSpec

@@ -8,16 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import edges, random_spec
+from conftest import edges, is_boundary_edge, random_spec
 from convex_blockers.blockers import BlockerSpec, enumerate_blockers, generate_blocker
 from convex_blockers.errors import InfeasibilityError, InputError, ResourceLimitError
 from convex_blockers.geometry import (
     Edge,
     PolygonContext,
     are_parallel,
-    boundary_position,
     edge_order,
-    is_boundary_edge,
 )
 from convex_blockers.matchings import (
     TriangularSpec,
@@ -31,6 +29,7 @@ from convex_blockers.matchings import (
     triangular_spm,
     triangular_spm_from_blocks,
 )
+from wide import triangular
 
 # Catalan numbers 0..8, frozen from the convolution recurrence below.
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -428,18 +427,7 @@ def test_triangular_from_blocks_input_errors():
 
 @pytest.mark.parametrize("m", range(3, 9))
 def test_triangular_from_blocks_exhaustive(m):
-    ctx = PolygonContext(m)
-    for start in range(ctx.n):
-        for a in range(1, m - 1):
-            for b in range(1, m - a):
-                c = m - a - b
-                matching = triangular_spm_from_blocks(ctx, start, a, b, c)
-                assert is_spm(ctx, matching)
-                # the three block-splitting diagonals are in the matching
-                assert ctx.edge(start, start + 2 * a - 1) in matching
-                assert ctx.edge(start + 2 * a, start + 2 * a + 2 * b - 1) in matching
-                assert ctx.edge(start + 2 * a + 2 * b, start - 1) in matching
-                # and the position form at its three boundary edges builds it
-                positions = sorted(boundary_position(ctx, e) + 1
-                                   for e in matching if is_boundary_edge(ctx, e))
-                assert triangular_spm(ctx, *positions) == matching
+    # Each is a matching holding its three block-splitting diagonals, the
+    # position form at its three boundary edges builds it, and the distinct
+    # ones number 2m * C(m-1, 2) / 3.
+    triangular(m)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_spec
+from conftest import boundary_edges, is_boundary_edge, random_spec
 from convex_blockers import verify
 from convex_blockers.blockers import (
     BlockerSpec,
@@ -13,7 +13,7 @@ from convex_blockers.blockers import (
     parse_blocker,
 )
 from convex_blockers.errors import InputError, ResourceLimitError
-from convex_blockers.geometry import PolygonContext, edge_class, is_boundary_edge, parallel_class
+from convex_blockers.geometry import PolygonContext, edge_class, parallel_class
 from convex_blockers.matchings import first_avoiding_spm
 from convex_blockers.oracle import build_family_index, find_minimum_blockers, is_blocking_set
 from convex_blockers.verify import MAX_WITNESSES, verify_theorem
@@ -158,7 +158,7 @@ def test_parser_and_blocking_check_agree_past_the_cap(m, blockers):
     theorem at sizes the oracle cannot reach, not a proof of completeness."""
     ctx = PolygonContext(m)
     rng = random.Random(m)
-    boundary = ctx.boundary_edges()
+    boundary = boundary_edges(ctx)
     cases = []
     for _ in range(blockers):
         spec = random_spec(rng, m)
