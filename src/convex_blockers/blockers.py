@@ -25,8 +25,12 @@ time.  The turn is exact, because a spec's start only adds s mod 2m to
 every vertex label.
 
 Generation and the structural checks work on int endpoints: generated
-edges are looked up in the context's `edge_of` table, and the scan unpacks
-each edge once and reports the input's own edges, boundary path included.
+edges are looked up in the context's `edge_of` table, and the scan reads
+the set in one pass into an int mask of parallel classes and one of
+boundary positions, and reports the input's own edges, boundary path
+included.  The class mask decides whether an even or repeated class is
+listed; the set is sorted only to list violations and for the crossing
+search.
 `parse_blocker` followed by `validate_caterpillar` on the same frozenset
 object, as `blocker check` runs them, scans the set once: `_scan` keeps its
 last result, keyed by the identity of the context and of the set.
@@ -242,12 +246,23 @@ _scan_memo = (None, None, None)
 def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
     """All structural violations in the fixed check order, plus spine data.
 
-    Each edge is checked against the polygon once; every test after that is
-    integer arithmetic mod 2m on the endpoints a < b.  The parallel class is
-    (a + b) mod 2m; a boundary edge has b - a equal to 1 or 2m-1 and sits at
-    position a, or 2m-1 for the wrap edge; and on the sorted list (a, b)
-    and a later (c, d) cross exactly when a < c < b < d, which rules out
-    shared vertices, so the first later edge with c >= b ends the search.
+    One pass over the set, in its own iteration order, reads every edge:
+    a member that is not exactly an `Edge` within the polygon goes to
+    `ctx.check_edge`, so the first bad one raises its error; every test
+    after that is integer arithmetic mod 2m on the endpoints a < b.  The
+    parallel class c = (a + b) mod 2m sets bit c of the class mask; a
+    boundary edge has b - a equal to 1 or 2m-1 and sits at position p = a,
+    or p = 2m-1 for the wrap edge, which sets bit p of the position mask;
+    and on the sorted list (a, b) and a later (c, d) cross exactly when
+    a < c < b < d, which rules out shared vertices, so the first later edge
+    with c >= b ends the search.
+
+    The class mask decides the first check: with no even bit set and as
+    many bits as edges, every edge has an odd class of its own, and only
+    otherwise are the even-order edges and repeated classes listed, in
+    sorted-edge order.  The runs come from the position mask.  The set is
+    sorted only to list violations and for the crossing search, and every
+    witness keeps sorted-edge order.
 
     Check order: one edge per odd parallel class, boundary count >= 2,
     boundary consecutiveness, crossing-freeness, leg attachment locations,
@@ -271,67 +286,96 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
     if ctx is memo_ctx and edges is memo_edges:
         return result
     n = ctx.n
-    edge_list = sorted(map(ctx.check_edge, edges))
-
-    violations: list[StructuralViolation] = []
-    by_class: dict[int, Edge] = {}
+    classes = 0  # the class mask: bit c for each parallel class c met
+    positions = 0  # the position mask: bit p for each boundary position p
     boundary: dict[int, Edge] = {}  # position -> the input's edge there
     interior: list[Edge] = []
-    for e in edge_list:
+    for e in edges:
+        if type(e) is not Edge:
+            ctx.check_edge(e)  # raises unless e is an instance of a subclass
         a, b = e
-        c = (a + b) % n
-        if c % 2 == 0:
-            violations.append(StructuralViolation(VIOLATION_EVEN_ORDER, (e,)))
-        elif c in by_class:
-            violations.append(
-                StructuralViolation(VIOLATION_DUPLICATE_CLASS, (by_class[c], e)))
-        else:
-            by_class[c] = e
+        if b >= n:
+            ctx.check_edge(e)  # raises
+        classes |= 1 << (a + b) % n
         if b - a == 1:
             boundary[a] = e
+            positions |= 1 << a
         elif b - a == n - 1:
             boundary[n - 1] = e
+            positions |= 1 << n - 1
         else:
             interior.append(e)
 
+    violations: list[StructuralViolation] = []
+    edge_list = None  # sorted(edges), made only when a check needs it
+    # (1 << n) // 3 has the even bits 0, 2, ..., 2m-2; fewer bits than
+    # edges means a class met twice.
+    if classes & (1 << n) // 3 or classes.bit_count() != len(edges):
+        edge_list = sorted(edges)
+        by_class: dict[int, Edge] = {}
+        for e in edge_list:
+            a, b = e
+            c = (a + b) % n
+            if c % 2 == 0:
+                violations.append(StructuralViolation(VIOLATION_EVEN_ORDER, (e,)))
+            elif c in by_class:
+                violations.append(
+                    StructuralViolation(VIOLATION_DUPLICATE_CLASS, (by_class[c], e)))
+            else:
+                by_class[c] = e
+
     if len(boundary) < 2:
         violations.append(StructuralViolation(
-            VIOLATION_FEW_BOUNDARY, tuple(boundary.values())))
+            VIOLATION_FEW_BOUNDARY, tuple(sorted(boundary.values()))))
 
-    # One walk per run, from the position whose predecessor is missing; the
-    # full cycle has no such position and is walked once, from 0.
+    # The runs of the position mask, turned to start just past its highest
+    # gap so that none passes from 2m-1 to 0 (the full cycle has no gap and
+    # is not turned); each is the lowest run left, cleared by adding its
+    # lowest bit.
+    full = (1 << n) - 1
+    turn = (full ^ positions).bit_length()  # one past the highest gap
+    runs = (positions >> turn | positions << n - turn) & full
     start = t = 0
-    if len(boundary) == n:
-        t = n
-    else:
-        for p in sorted(boundary):
-            if (p - 1) % n not in boundary:
-                k = 1
-                while (p + k) % n in boundary:
-                    k += 1
-                if k > t:
-                    start, t = p, k
+    while runs:
+        low = runs & -runs
+        run = runs & ~(runs + low)
+        runs ^= run
+        k = run.bit_count()
+        p = (low.bit_length() - 1 + turn) % n
+        if k > t or k == t and p < start:
+            start, t = p, k
     if t < len(boundary):
         violations.append(StructuralViolation(
-            VIOLATION_NOT_CONSECUTIVE, tuple(boundary.values())))
-    path = tuple(boundary[p % n] for p in range(start, start + t))
+            VIOLATION_NOT_CONSECUTIVE, tuple(sorted(boundary.values()))))
+    path = tuple([boundary[p % n] for p in range(start, start + t)])
 
     spine = None
     leg_violations: list[StructuralViolation] = []  # reported after crossings
     if t == len(boundary) and t >= 2:
-        legs = []
+        slots = []  # (-attach, far, edge): sorted, the slot order
+        badly_attached = []
         for e in interior:
             a, b = e
-            ra, rb = (a - start) % n, (b - start) % n
-            attach, far = (ra, rb) if ra < rb else (rb, ra)
-            if 1 <= attach <= t - 1 and t + 1 <= far:
-                legs.append((attach, far, e))
+            attach, far = (a - start) % n, (b - start) % n
+            if attach > far:
+                attach, far = far, attach
+            if 0 < attach < t < far:
+                slots.append((-attach, far, e))
             else:
-                leg_violations.append(
-                    StructuralViolation(VIOLATION_BAD_ATTACHMENT, (e,)))
-        legs.sort(key=lambda leg: (-leg[0], leg[1]))  # slot order: the leg-order rule
-        sums = [p + pf for p, pf, _e in legs]
-        if not all(map(operator.lt, sums, sums[1:])):
+                badly_attached.append(e)
+        slots.sort()
+        # The leg-order rule: a gap exactly when the sums attach + far do
+        # not strictly rise in slot order.
+        legs, gap, last = [], False, 0
+        for minus_attach, far, e in slots:
+            if far - minus_attach <= last:
+                gap = True
+            last = far - minus_attach
+            legs.append((-minus_attach, far, e))
+        if badly_attached:
+            leg_violations = [StructuralViolation(VIOLATION_BAD_ATTACHMENT, (e,))
+                              for e in sorted(badly_attached)]
+        if gap:
             leg_violations += [
                 StructuralViolation(VIOLATION_LEG_GAP, tuple(sorted((e1, e2))))
                 for (p, pf, e1), (q, qf, e2) in itertools.combinations(sorted(legs), 2)
@@ -339,6 +383,8 @@ def _scan(ctx: PolygonContext, edges: frozenset[Edge]):
         spine = (start, t, tuple(legs))
 
     if spine is None or leg_violations:  # else nothing crosses: the crossing rule
+        if edge_list is None:
+            edge_list = sorted(edges)
         size = len(edge_list)
         for i, e in enumerate(edge_list):
             a, b = e
@@ -377,7 +423,8 @@ def parse_blocker(ctx: PolygonContext, edges) -> BlockerSpec | StructuralViolati
     never rises while attach + far strictly rises, so the offsets strictly
     rise.
     """
-    check_min(ctx.m, 2)
+    if ctx.m < 2:  # a context's m is an int >= 1 already
+        check_min(ctx.m, 2)
     edges = frozenset(edges)
     if len(edges) != ctx.m:
         raise InputError(f"expected exactly {clipped(ctx.m)} edges, got {len(edges)}")

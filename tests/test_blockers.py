@@ -352,6 +352,24 @@ def test_parse_and_validate_reject_non_edge_members():
         validate_caterpillar(PolygonContext(3), mixed)
 
 
+@pytest.mark.parametrize("members", [
+    [Edge(0, 1), Edge(1, 2), Edge(2, 9)],
+    [(0, 1), Edge(1, 2), Edge(4, 7)],
+    [Edge(5, 6), Edge(6, 7), (1, 2)],
+], ids=["out-of-range", "pair-and-out-of-range", "two-out-of-range-and-pair"])
+def test_the_first_bad_member_in_iteration_order_is_refused(members):
+    # The scan reads the set in its own order and refuses the first member
+    # that is not an `Edge` of the polygon, with `ctx.check_edge`'s error.
+    ctx = PolygonContext(3)
+    edge_set = frozenset(members)
+    first = next(e for e in edge_set if not (isinstance(e, Edge) and e.b < ctx.n))
+    with pytest.raises(InputError) as expected:
+        ctx.check_edge(first)
+    for check in (parse_blocker, validate_caterpillar):
+        with pytest.raises(InputError, match=f"^{re.escape(str(expected.value))}$"):
+            check(ctx, edge_set)
+
+
 # Every entry that takes edges, called on a polygon and a member list.
 EDGE_ENTRIES = {
     "parse_blocker": parse_blocker,
@@ -498,6 +516,18 @@ def test_validate_report_json():
     assert repr(report).endswith(", violations=())")
 
 
+class _Member(Edge):
+    """An `Edge` of a subclass: the scan reads it as any edge, and hands it
+    to `ctx.check_edge`, because only an exact `Edge` skips that call."""
+
+    __slots__ = ()
+
+
+def _members(edge_set) -> frozenset[Edge]:
+    """The same edges as `_Member`s, a set equal to `edge_set`."""
+    return frozenset(map(_Member._make, edge_set))
+
+
 @pytest.fixture
 def check_edge_calls(monkeypatch):
     """The edges `PolygonContext.check_edge` is called on, in call order."""
@@ -514,15 +544,16 @@ def check_edge_calls(monkeypatch):
 
 def test_scan_checks_each_edge_once(check_edge_calls):
     # One scan serves parse_blocker and then validate_caterpillar on the
-    # same frozenset object: m check_edge calls in total, not 2m.  An equal
-    # but distinct copy is scanned again, and each call alone on a fresh
-    # set makes m calls.
+    # same frozenset object: on a set of `_Member`s, m check_edge calls in
+    # total, not 2m.  An equal but distinct copy is scanned again, and each
+    # call alone on a fresh set makes m calls.
     calls = check_edge_calls
     ctx11 = PolygonContext(11)
     cases = [(ctx11, generate_blocker(ctx11, BlockerSpec(5, 4, (1, 2, 3, 5, 6, 8, 9)))),
              (PolygonContext(2), edges("0-1,2-3"))]  # not a tree
     cases += [(PolygonContext(m), edges(text)) for m, text, _name in MUTANTS]
     for ctx, edge_set in cases:
+        edge_set = _members(edge_set)
         calls.clear()
         parse_blocker(ctx, edge_set)
         validate_caterpillar(ctx, edge_set)
@@ -538,10 +569,23 @@ def test_scan_checks_each_edge_once(check_edge_calls):
             assert sorted(calls) == sorted(edge_set), check.__name__
 
 
+def test_a_set_of_edge_subclass_members_reads_as_its_edges():
+    # The scan's own validity test is for an exact `Edge`; any other member
+    # goes to `ctx.check_edge`, which takes an instance of a subclass.
+    cases = [(PolygonContext(6), FIGURE_BLOCKER)]
+    cases += [(PolygonContext(m), edges(text)) for m, text, _name in MUTANTS]
+    for ctx, edge_set in cases:
+        members = _members(edge_set)
+        assert {type(e) for e in members} == {_Member}
+        for check in (parse_blocker, validate_caterpillar):
+            assert check(ctx, members) == check(ctx, frozenset(list(edge_set)))
+
+
 def test_a_changed_report_leaves_the_cached_scan_alone(check_edge_calls):
     # A report cannot be changed: its violations are the cached tuple.
     ctx = PolygonContext(6)
     for edge_set in (FIGURE_BLOCKER, edges("0-1,1-2,2-3,2-5,2-7,4-7")):
+        edge_set = _members(edge_set)
         parsed = parse_blocker(ctx, edge_set)
         report = validate_caterpillar(ctx, edge_set)
         kept = report.to_json()
@@ -733,7 +777,12 @@ def test_every_parsed_spec_passes_validate(m):
 # a spine whose badly attached 4-7 crosses the leg 2-5
 @example((PolygonContext(5), edges("0-1,1-2,2-3,2-5,4-7")))
 @example((PolygonContext(4), edges("0-1,2-3,1-4,2-5")))  # split boundary, 1-4 x 2-5
+# every odd class met and class 3 twice: the class mask is the odd bits
+@example((PolygonContext(3), edges("0-1,1-2,2-3,0-3")))
+@example((PolygonContext(3), edges("0-1,0-2")))  # fewer edges than classes, one even
 def test_scan_agrees_with_the_slow_twin_on_any_edge_set(case):
+    # Sets of any size from 0 to every edge, so that the class mask,
+    # the late sort and the witnesses meet duplicates, gaps and extra legs.
     _assert_scan_matches_the_slow_twin(*case)
 
 

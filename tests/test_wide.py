@@ -78,6 +78,7 @@ DOCTORED = [
     ("enumerate-cap", cli, "_spm_splits", _drop_the_first_split),
     ("enumerate-cap", cli, "_blocker_json", _another_spine_length),
     ("blocker-check", cli, "first_avoiding_spm", _block_every_set),
+    ("blocker-check", blockers, "_scan", _drop_the_last_violation),
 ]
 
 

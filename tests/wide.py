@@ -39,6 +39,7 @@ from convex_blockers.blockers import (
     VIOLATION_EVEN_ORDER,
     VIOLATION_FEW_BOUNDARY,
     VIOLATION_LEG_GAP,
+    VIOLATION_NOT_A_TREE,
     VIOLATION_NOT_CONSECUTIVE,
     StructuralViolation,
 )
@@ -166,10 +167,12 @@ def enumerate_cap(m: int) -> str:
     and rendered on its own through `generate_blocker` and
     `blocker_to_json`, since the command turns start 0's blockers through
     the other starts.  The matchings must number Catalan(m), as lines and
-    as JSON items, with the same bytes under `PYTHONUNBUFFERED=1`.  Tier-1
-    stops below the enumeration cap; CI runs it, m = 12: 24,576 blockers
-    and 208,012 matchings, in about 6 s and 330 MB, most of it the parsed
-    JSON of the matchings."""
+    as JSON items, counted one at a time (`_json_items`), with the same
+    bytes under `PYTHONUNBUFFERED=1`.  Tier-1 stops below the enumeration
+    cap; CI runs it, m = 12: 24,576 blockers and 208,012 matchings, in
+    3.4-4.2 s with a 70 MB peak RSS of this process (`resource.getrusage`),
+    on a shared 2-core host with Python 3.11.7; `json.loads` of the
+    matchings took it to 326 MB."""
     ctx = PolygonContext(m)
     for fmt, text in _reference_texts(ctx).items():
         status, out = _cli("blocker", "enumerate", "--m", str(m), "--format", fmt)
@@ -183,13 +186,35 @@ def enumerate_cap(m: int) -> str:
     for fmt in ("lines", "json"):
         args = ("spm", "enumerate", "--m", str(m), "--format", fmt)
         status, out = _cli(*args)
-        items = out.count(b"\n") if fmt == "lines" else len(json.loads(out))
+        items = out.count(b"\n") if fmt == "lines" else _json_items(out)
         _require(status == 0 and items == catalan,
                  f"{' '.join(args)}: exit {status}, {items} matchings, expected {catalan}")
         _require(_cli(*args, unbuffered=True) == (0, out),
                  f"{' '.join(args)} writes other bytes under PYTHONUNBUFFERED=1")
     return (f"enumerate at m={m}: {_blockers(m)} blockers as the reference, "
             f"{catalan} matchings, the same bytes unbuffered")
+
+
+def _json_items(out: bytes) -> int | None:
+    """The number of items of the compact JSON array that `out` holds, one
+    line, or None if it holds no such array.  Each item is decoded and
+    dropped in turn, so the items are never all alive at once."""
+    text, decoder = out.decode(), json.JSONDecoder()
+    if text == "[]\n":
+        return 0
+    if text[:1] != "[":
+        return None
+    at, items = 1, 0
+    try:
+        while True:
+            _item, at = decoder.raw_decode(text, at)
+            items += 1
+            if text[at:at + 1] != ",":
+                break
+            at += 1
+    except json.JSONDecodeError:
+        return None
+    return items if text[at:] == "]\n" else None
 
 
 def _reference_texts(ctx) -> dict[str, str]:
@@ -205,13 +230,15 @@ def _reference_texts(ctx) -> dict[str, str]:
 
 
 def blocker_check(m: int) -> str:
-    """Run `blocker check` at m, 20 s at most per call, on the spine
+    """Run `blocker check` at m >= 3, 20 s at most per call, on the spine
     0-1,...,(m-1)-m; on the same spine turned to start at 3m/2, which wraps
     through vertex 0; and on the spine with (m-1)-m swapped for 0-2, which
     must fail with exit 1.  The swapped set's parse and caterpillar report
-    come from one shared scan: 0-2 is an even-order edge and the set holds
-    the cycle 0-1-2.  `blocker check` has no cap and tier-1 stays at small
-    m; CI runs m = 300 and 1000, about 0.5 s per call at 1000."""
+    come from one shared scan: the report must list, in order, the cycle
+    0-1-2 as not_a_tree with every edge, 0-2 as an even-order edge and 0-2
+    again as attached at the spine's first vertex, and the parse must name
+    the even-order edge.  `blocker check` has no cap and tier-1 stays at
+    small m; CI runs m = 300 and 1000, about 0.5 s per call at 1000."""
     n, half = 2 * m, 3 * m // 2
     spine = [f"{i}-{i + 1}" for i in range(m)]
     cases = [
@@ -220,14 +247,24 @@ def blocker_check(m: int) -> str:
          [f"{i % n}-{(i + 1) % n}" for i in range(half, half + m)],
          0, ['"blocks_all_spms":true', f'"start":{half},"t":{m}']),
         ("swapped spine", spine[:-1] + ["0-2"], 1,
-         ['"missed_spm":[[', '"violation":"even_order_edge"', '"caterpillar":{"is_tree":false']),
+         ['"missed_spm":[[', '"ok":false,"violation":"even_order_edge"']),
     ]
+    outputs = {}
     for name, edges, expected, fields in cases:
-        status, out = _cli("blocker", "check", "--m", str(m), "--edges", ",".join(edges),
-                           timeout=20)
-        missing = [field for field in fields if field.encode() not in out]
+        status, outputs[name] = _cli("blocker", "check", "--m", str(m),
+                                     "--edges", ",".join(edges), timeout=20)
+        missing = [field for field in fields if field.encode() not in outputs[name]]
         _require(status == expected and not missing,
                  f"blocker check of the {name} at m={m}: exit {status}, missing {missing}")
+    report = json.loads(outputs["swapped spine"])["caterpillar"]
+    swapped = sorted([[i, i + 1] for i in range(m - 1)] + [[0, 2]])
+    violations = [{"violation": VIOLATION_NOT_A_TREE, "witness": swapped},
+                  {"violation": VIOLATION_EVEN_ORDER, "witness": [[0, 2]]},
+                  {"violation": VIOLATION_BAD_ATTACHMENT, "witness": [[0, 2]]}]
+    _require(report["is_tree"] is False and report["violations"] == violations,
+             f"blocker check of the swapped spine at m={m}: is_tree {report['is_tree']}, "
+             f"violations {[v['violation'] for v in report['violations']]}, expected "
+             f"{[v['violation'] for v in violations]} with their witnesses")
     return f"blocker check at m={m}: the spine and its turn block, the swapped spine fails"
 
 
